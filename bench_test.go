@@ -57,13 +57,29 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
+// runFigurePass evaluates one figure pass under benchCfg(i): register
+// declares the artifacts, whose assemblers are valid once it returns.
+func runFigurePass(b *testing.B, i int, register func(p *campaign.FigurePass)) {
+	b.Helper()
+	p := campaign.NewFigurePass(benchCfg(i), 0)
+	register(p)
+	if err := p.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkFigure2 regenerates the DGEMM MRE-vs-elements scatter.
 func BenchmarkFigure2(b *testing.B) {
 	var sdcs int
 	for i := 0; i < b.N; i++ {
-		for _, dev := range campaign.Devices() {
-			s := campaign.BuildDGEMMScatter(dev, campaign.TestScale, benchCfg(i))
-			for _, series := range s.Series {
+		var figs []func() campaign.ScatterSeries
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			for _, dev := range campaign.Devices() {
+				figs = append(figs, p.Scatter("DGEMM", 100, campaign.DGEMMCells(dev, campaign.TestScale)))
+			}
+		})
+		for _, fig := range figs {
+			for _, series := range fig().Series {
 				sdcs += len(series.Points)
 			}
 		}
@@ -76,8 +92,12 @@ func BenchmarkFigure2(b *testing.B) {
 func BenchmarkFigure3(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		f := campaign.BuildDGEMMLocality(k40.New(), campaign.TestScale, benchCfg(i), 2)
-		_ = campaign.BuildDGEMMLocality(phi.New(), campaign.TestScale, benchCfg(i), 2)
+		var k40Fig func() campaign.LocalityFigure
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			k40Fig = p.Locality("DGEMM", campaign.DGEMMCells(k40.New(), campaign.TestScale))
+			p.Locality("DGEMM", campaign.DGEMMCells(phi.New(), campaign.TestScale))
+		})
+		f := k40Fig()
 		last := f.Bars[len(f.Bars)-1]
 		if t := last.All.Total(); t > 0 {
 			gain += 1 - last.Filtered.Total()/t
@@ -89,9 +109,11 @@ func BenchmarkFigure3(b *testing.B) {
 // BenchmarkFigure4 regenerates the LavaMD scatter.
 func BenchmarkFigure4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, dev := range campaign.Devices() {
-			_ = campaign.BuildLavaMDScatter(dev, campaign.TestScale, benchCfg(i))
-		}
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			for _, dev := range campaign.Devices() {
+				p.Scatter("LavaMD", 20000, campaign.LavaMDCells(dev, campaign.TestScale))
+			}
+		})
 	}
 }
 
@@ -100,10 +122,13 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure5(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		_ = campaign.BuildLavaMDLocality(k40.New(), campaign.TestScale, benchCfg(i), 2)
-		f := campaign.BuildLavaMDLocality(phi.New(), campaign.TestScale, benchCfg(i), 2)
+		var phiFig func() campaign.LocalityFigure
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			p.Locality("LavaMD", campaign.LavaMDCells(k40.New(), campaign.TestScale))
+			phiFig = p.Locality("LavaMD", campaign.LavaMDCells(phi.New(), campaign.TestScale))
+		})
 		var spread, total float64
-		for _, bar := range f.Bars {
+		for _, bar := range phiFig().Bars {
 			spread += bar.All.Values[0] + bar.All.Values[1] // cubic + square
 			total += bar.All.Total()
 		}
@@ -114,12 +139,19 @@ func BenchmarkFigure5(b *testing.B) {
 	b.ReportMetric(100*share/float64(b.N), "Phi-cubic+square-%")
 }
 
+// hotspotCell is the test-scale HotSpot experiment on dev.
+func hotspotCell(dev arch.Device) []campaign.Cell {
+	return []campaign.Cell{{Dev: dev, Kern: campaign.HotSpotKernel(campaign.TestScale)}}
+}
+
 // BenchmarkFigure6 regenerates the HotSpot scatter.
 func BenchmarkFigure6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		for _, dev := range campaign.Devices() {
-			_ = campaign.BuildHotSpotScatter(dev, campaign.TestScale, benchCfg(i))
-		}
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			for _, dev := range campaign.Devices() {
+				p.Scatter("HotSpot", 0, hotspotCell(dev))
+			}
+		})
 	}
 }
 
@@ -130,7 +162,9 @@ func BenchmarkFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := campaign.Run(k40.New(), campaign.HotSpotKernel(campaign.TestScale), benchCfg(i))
 		filtered += res.FilteredFraction(2)
-		_ = campaign.BuildHotSpotLocality(phi.New(), campaign.TestScale, benchCfg(i), 2)
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			p.Locality("HotSpot", hotspotCell(phi.New()))
+		})
 	}
 	b.ReportMetric(100*filtered/float64(b.N), "K40-filtered-%")
 }
@@ -138,7 +172,9 @@ func BenchmarkFigure7(b *testing.B) {
 // BenchmarkFigure8 regenerates the CLAMR scatter (Xeon Phi).
 func BenchmarkFigure8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_ = campaign.BuildCLAMRScatter(phi.New(), campaign.TestScale, benchCfg(i))
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			p.Scatter("CLAMR", 0, []campaign.Cell{{Dev: phi.New(), Kern: campaign.CLAMRKernel(campaign.TestScale)}})
+		})
 	}
 }
 
@@ -155,8 +191,11 @@ func BenchmarkFigure9(b *testing.B) {
 // BenchmarkSDCRatios regenerates the §V preamble SDC:DUE statistics.
 func BenchmarkSDCRatios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := campaign.BuildSDCRatios(campaign.TestScale, benchCfg(i))
-		if len(rows) == 0 {
+		var ratios func() []campaign.RatioRow
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			ratios = p.Ratios(campaign.AllCells(campaign.TestScale))
+		})
+		if rows := ratios(); len(rows) == 0 {
 			b.Fatal("no rows")
 		}
 	}
@@ -174,7 +213,9 @@ func BenchmarkInputScaling(b *testing.B) {
 		_, sdcS, _, _ := dev.Model().ExpectedRates(small)
 		_, sdcL, _, _ := dev.Model().ExpectedRates(large)
 		growth = (sdcL * dev.SensitiveArea(large)) / (sdcS * dev.SensitiveArea(small))
-		_ = campaign.BuildDGEMMScaling(dev, campaign.TestScale, benchCfg(i), 2)
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			p.Scaling(campaign.DGEMMCells(dev, campaign.TestScale))
+		})
 	}
 	b.ReportMetric(growth, "K40-FIT-growth-x")
 }
@@ -184,9 +225,13 @@ func BenchmarkInputScaling(b *testing.B) {
 func BenchmarkABFTCoverage(b *testing.B) {
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		rows := campaign.BuildABFTCoverage(k40.New(), campaign.TestScale, benchCfg(i))
+		var k40Rows func() []campaign.ABFTRow
+		runFigurePass(b, i, func(p *campaign.FigurePass) {
+			k40Rows = p.ABFT(campaign.DGEMMCells(k40.New(), campaign.TestScale))
+			p.ABFT(campaign.DGEMMCells(phi.New(), campaign.TestScale))
+		})
+		rows := k40Rows()
 		frac += rows[len(rows)-1].CorrectableFraction
-		_ = campaign.BuildABFTCoverage(phi.New(), campaign.TestScale, benchCfg(i))
 	}
 	b.ReportMetric(100*frac/float64(b.N), "K40-correctable-%")
 }
@@ -324,10 +369,10 @@ func BenchmarkAblationThreshold(b *testing.B) {
 
 // --- Campaign engine: serial vs parallel (DESIGN.md §5) ---
 
-// benchCampaignEngine measures uncached campaign cells at a fixed worker
-// count. RunFresh bypasses the memo cache, so every iteration pays the
-// full strike loop; the kernel is hoisted so iterations beyond the first
-// run against warm golden-state handles (the engine's steady state).
+// benchCampaignEngine measures whole campaign cells at a fixed worker
+// count. Every Run pays the full strike loop; the kernel is hoisted so
+// iterations beyond the first run against warm golden-state handles (the
+// engine's steady state).
 func benchCampaignEngine(b *testing.B, workers int) {
 	dev := k40.New()
 	kern := dgemm.New(512)
@@ -335,7 +380,7 @@ func benchCampaignEngine(b *testing.B, workers int) {
 	cfg.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := campaign.RunFresh(dev, kern, cfg)
+		res := campaign.Run(dev, kern, cfg)
 		if res.Tally.Count() != cfg.Strikes {
 			b.Fatal("strike count wrong")
 		}

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 
@@ -42,12 +41,15 @@ func main() {
 		}
 	}
 
-	res, err := radcrit.NewBatchRunner().Run(context.Background(), plan)
+	if plan.Adaptive != nil {
+		cli.Fatal("abftscan", "plan %q has an adaptive spec; the coverage scan runs every cell's full budget", plan.Name)
+	}
+	cells, err := plan.Build()
 	if err != nil {
 		cli.Fatal("abftscan", "%v", err)
 	}
-	for _, cell := range res.Cells {
-		r := cell.Result
+	for _, c := range cells {
+		r := radcrit.RunCampaign(c.Dev, c.Kern, plan.Config())
 		cov := abft.EvaluateCoverage(r.Reports)
 		fmt.Printf("ABFT coverage scan: DGEMM %s on %s, %d strikes, %d SDCs\n",
 			r.Input, r.Device, r.Strikes, len(r.Reports))

@@ -13,9 +13,10 @@
 //     baseline host, so the ns guard is skipped (with a note) whenever
 //     runtime.NumCPU() differs from the recorded host.cores.
 //
-// A baselined benchmark missing from the run always fails. Beyond the
-// standard library the tool depends only on the shared cli version
-// helper, so the CI job stays a plain `go run ./cmd/benchguard`.
+// A baselined benchmark missing from the run, or reporting no allocs/op
+// (a run without -benchmem), always fails. Beyond the standard library
+// the tool depends only on the shared cli version helper, so the CI job
+// stays a plain `go run ./cmd/benchguard`.
 //
 //	go test -bench='BenchmarkStrike|BenchmarkInjected' -benchmem -run='^$' . |
 //	    go run ./cmd/benchguard -baseline BENCH_campaign.json
@@ -36,6 +37,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -74,10 +76,21 @@ func main() {
 	flag.Parse()
 	cli.ExitIfVersion(*showVersion)
 
-	got := parseBenchOutput(os.Stdin)
+	got, err := parseBenchOutput(os.Stdin)
+	if err != nil {
+		fatal("read bench output: %v", err)
+	}
 
 	if *emitMulticore {
-		emitMulticoreRecord(got)
+		rec, err := buildMulticoreRecord(got, runtime.NumCPU())
+		if err != nil {
+			fatal("%v", err)
+		}
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rec); err != nil {
+			fatal("encode multicore record: %v", err)
+		}
 		return
 	}
 
@@ -93,13 +106,31 @@ func main() {
 		fatal("%s has no strike_hot_path.benchmarks section", *baselinePath)
 	}
 
-	guardNs := base.Host.Cores == 0 || base.Host.Cores == runtime.NumCPU()
-	if !guardNs {
-		fmt.Printf("benchguard: note: host has %d cores, baseline recorded on %d — ns/op guard skipped, allocs/op still enforced\n",
-			runtime.NumCPU(), base.Host.Cores)
+	notes, failures := guard(base, got, *maxFactor, *nsFactor, runtime.NumCPU())
+	for _, n := range notes {
+		fmt.Println("benchguard: " + n)
 	}
+	for _, f := range failures {
+		fmt.Fprintln(os.Stderr, "benchguard: FAIL "+f)
+	}
+	if len(failures) > 0 {
+		os.Exit(1)
+	}
+}
 
-	failed := false
+// guard checks every baselined benchmark against the parsed run on a
+// host with the given core count. It returns the progress notes (one
+// "ok" line per passing benchmark, plus the ns/op skip note when the
+// core counts differ) and one line per failure; the run is within budget
+// exactly when failures is empty. A baselined benchmark that is missing
+// from the run, or that reports no allocs/op (a run without -benchmem),
+// fails: otherwise the allocation gate could never trip.
+func guard(base baselineFile, got map[string]benchResult, maxFactor, nsFactor float64, cores int) (notes, failures []string) {
+	guardNs := base.Host.Cores == 0 || base.Host.Cores == cores
+	if !guardNs {
+		notes = append(notes, fmt.Sprintf("note: host has %d cores, baseline recorded on %d — ns/op guard skipped, allocs/op still enforced",
+			cores, base.Host.Cores))
+	}
 	names := make([]string, 0, len(base.StrikeHotPath.Benchmarks))
 	for name := range base.StrikeHotPath.Benchmarks {
 		names = append(names, name)
@@ -109,32 +140,31 @@ func main() {
 		want := base.StrikeHotPath.Benchmarks[name]
 		res, ok := got[name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "benchguard: FAIL %s: baselined benchmark missing from bench output\n", name)
-			failed = true
+			failures = append(failures, fmt.Sprintf("%s: baselined benchmark missing from bench output", name))
 			continue
 		}
-		allocLimit := want.AllocsOp * *maxFactor
-		if res.HasAllocs && res.AllocsOp > allocLimit {
-			fmt.Fprintf(os.Stderr, "benchguard: FAIL %s: %.1f allocs/op exceeds %.1f (baseline %.1f x factor %.1f)\n",
-				name, res.AllocsOp, allocLimit, want.AllocsOp, *maxFactor)
-			failed = true
+		if !res.HasAllocs {
+			failures = append(failures, fmt.Sprintf("%s: no allocs/op in bench output (run with -benchmem)", name))
+			continue
+		}
+		allocLimit := want.AllocsOp * maxFactor
+		if res.AllocsOp > allocLimit {
+			failures = append(failures, fmt.Sprintf("%s: %.1f allocs/op exceeds %.1f (baseline %.1f x factor %.1f)",
+				name, res.AllocsOp, allocLimit, want.AllocsOp, maxFactor))
 			continue
 		}
 		if guardNs && want.NsOp > 0 {
-			nsLimit := want.NsOp * *nsFactor
+			nsLimit := want.NsOp * nsFactor
 			if res.NsOp > nsLimit {
-				fmt.Fprintf(os.Stderr, "benchguard: FAIL %s: %.0f ns/op exceeds %.0f (baseline %.0f x factor %.2f)\n",
-					name, res.NsOp, nsLimit, want.NsOp, *nsFactor)
-				failed = true
+				failures = append(failures, fmt.Sprintf("%s: %.0f ns/op exceeds %.0f (baseline %.0f x factor %.2f)",
+					name, res.NsOp, nsLimit, want.NsOp, nsFactor))
 				continue
 			}
 		}
-		fmt.Printf("benchguard: ok %s: %.1f allocs/op (limit %.1f), %.0f ns/op\n",
-			name, res.AllocsOp, allocLimit, res.NsOp)
+		notes = append(notes, fmt.Sprintf("ok %s: %.1f allocs/op (limit %.1f), %.0f ns/op",
+			name, res.AllocsOp, allocLimit, res.NsOp))
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return notes, failures
 }
 
 // multicoreRecord is the BENCH_campaign.json "multicore" section shape.
@@ -153,14 +183,15 @@ type multicoreCell struct {
 	SpeedupX      float64            `json:"speedup_at_max_workers_x"`
 }
 
-// emitMulticoreRecord prints the multicore JSON record built from
-// BenchmarkCampaignMulticore/<cell>/workers=<n> results.
-func emitMulticoreRecord(got map[string]benchResult) {
-	rec := multicoreRecord{
-		Description: "Whole uncached campaign cells (campaign.RunFresh) at worker counts {1, 2, NumCPU}. Results are bit-identical across worker counts (DESIGN.md §5); ns/op is the whole story. Regenerate with: go test -bench=BenchmarkCampaignMulticore -benchtime=1x -run='^$' . | go run ./cmd/benchguard -emit-multicore",
+// buildMulticoreRecord builds the multicore JSON record from
+// BenchmarkCampaignMulticore/<cell>/workers=<n> results on a host with
+// the given core count.
+func buildMulticoreRecord(got map[string]benchResult, cores int) (*multicoreRecord, error) {
+	rec := &multicoreRecord{
+		Description: "Whole uncached campaign cells (campaign.Run) at worker counts {1, 2, NumCPU}. Results are bit-identical across worker counts (DESIGN.md §5); ns/op is the whole story. Regenerate with: go test -bench=BenchmarkCampaignMulticore -benchtime=1x -run='^$' . | go run ./cmd/benchguard -emit-multicore",
 		Cells:       map[string]*multicoreCell{},
 	}
-	rec.Host.Cores = runtime.NumCPU()
+	rec.Host.Cores = cores
 	rec.Host.Go = runtime.Version() + " " + runtime.GOOS + "/" + runtime.GOARCH
 	const prefix = "CampaignMulticore/"
 	for name, res := range got {
@@ -180,7 +211,7 @@ func emitMulticoreRecord(got map[string]benchResult) {
 		cell.NsOpByWorkers[workers] = res.NsOp
 	}
 	if len(rec.Cells) == 0 {
-		fatal("no BenchmarkCampaignMulticore results on stdin")
+		return nil, fmt.Errorf("no BenchmarkCampaignMulticore results on stdin")
 	}
 	for _, cell := range rec.Cells {
 		base := cell.NsOpByWorkers["1"]
@@ -199,11 +230,7 @@ func emitMulticoreRecord(got map[string]benchResult) {
 	} else {
 		rec.Note = fmt.Sprintf("recorded on a %d-core host", rec.Host.Cores)
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rec); err != nil {
-		fatal("encode multicore record: %v", err)
-	}
+	return rec, nil
 }
 
 func round2(v float64) float64 {
@@ -213,9 +240,9 @@ func round2(v float64) float64 {
 // parseBenchOutput extracts ns/op and allocs/op per benchmark from
 // `go test -bench [-benchmem]` text. Benchmark names are normalised by
 // stripping the "Benchmark" prefix and the -GOMAXPROCS suffix.
-func parseBenchOutput(f *os.File) map[string]benchResult {
+func parseBenchOutput(r io.Reader) (map[string]benchResult, error) {
 	out := map[string]benchResult{}
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -241,10 +268,7 @@ func parseBenchOutput(f *os.File) map[string]benchResult {
 		}
 		out[name] = res
 	}
-	if err := sc.Err(); err != nil {
-		fatal("read bench output: %v", err)
-	}
-	return out
+	return out, sc.Err()
 }
 
 func fatal(format string, args ...any) {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	figures [-scale test|paper] [-strikes N] [-seed S] [-only ID[,ID...]]
-//	        [-stream] [-maxpoints N] [-plan plan.json]
+//	        [-maxpoints N] [-plan plan.json]
 //
 // IDs: T1 T2 F2 F3 F4 F5 F6 F7 F8 F9 S1 S2 S3 S4 X1 (see DESIGN.md §3).
 // The test scale runs the full set in tens of seconds; the paper scale
@@ -14,17 +14,19 @@
 // facility) from a declarative plan file instead of the flags; the
 // artifact set and its cells still follow -scale/-only.
 //
-// -stream switches the aggregate artifacts (F2-F8, S1-S3) to the streaming
-// engine (DESIGN.md §6): memory stays O(reducer state) per cell — scatter
-// figures keep a -maxpoints reservoir — at the cost of the memo cache, so
-// artifacts sharing cells recompute them. Use it when strike counts are
-// too large for retained reports.
+// Every campaign artifact (F2-F8, S1-S3, X1) is assembled from one
+// streaming pass (DESIGN.md §6): each distinct device x kernel x input
+// cell the selection reads runs exactly once, concurrently, feeding the
+// online reducers its artifacts need, and no SDC report is retained.
+// -maxpoints bounds each scatter input to a uniform reservoir sample for
+// strike budgets whose point clouds would not fit in memory.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,8 +44,7 @@ func main() {
 	strikes := flag.Int("strikes", 400, "strikes per experiment cell")
 	seed := flag.Uint64("seed", 2017, "campaign seed")
 	only := flag.String("only", "", "comma-separated artifact IDs (default: all)")
-	stream := flag.Bool("stream", false, "use the bounded-memory streaming engine for aggregate artifacts")
-	maxPoints := flag.Int("maxpoints", 4096, "scatter reservoir size per input in -stream mode")
+	maxPoints := flag.Int("maxpoints", 0, "scatter reservoir size per input (0 keeps every point)")
 	planPath := flag.String("plan", "", "JSON plan `file` supplying seed/strikes/workers/facility")
 	var adaptiveF cli.AdaptiveFlags
 	adaptiveF.Bind(flag.CommandLine)
@@ -114,211 +115,12 @@ func main() {
 	}
 	sel := func(id string) bool { return len(want) == 0 || want[id] }
 
-	w := os.Stdout
-	k40Dev := mustDevice("k40")
-	phiDev := mustDevice("phi")
-
-	// Evaluate every campaign cell the selected artifacts will read in one
-	// concurrent matrix pass. The renderers below then hit the memo cache,
-	// so output stays serial and ordered while the compute — the entire
-	// device x kernel x input matrix — ran wide. Streaming mode skips the
-	// warm-up: it deliberately retains nothing to share.
-	if !*stream {
-		prewarm(sel, scale, cfg, k40Dev, phiDev)
+	set := selectArtifacts(os.Stdout, sel, scale, cfg, *maxPoints)
+	if err := set.pass.Run(); err != nil {
+		cli.Fatal("figures", "%v", err)
 	}
-
-	die := func(err error) {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(1)
-	}
-	// scatter/locality pick the engine per -stream: the batch builders
-	// (memoised, reports retained) or the streaming reducers.
-	scatter := func(kernel string, capPct float64, cells []campaign.Cell, batch func() campaign.ScatterSeries) campaign.ScatterSeries {
-		if !*stream {
-			return batch()
-		}
-		s, err := campaign.ScatterStreaming(kernel, capPct, *maxPoints, cells, cfg)
-		if err != nil {
-			die(err)
-		}
-		return s
-	}
-	locality := func(kernel string, cells []campaign.Cell, batch func() campaign.LocalityFigure) campaign.LocalityFigure {
-		if !*stream {
-			return batch()
-		}
-		f, err := campaign.LocalityStreaming(kernel, cells, cfg, 2)
-		if err != nil {
-			die(err)
-		}
-		return f
-	}
-
-	if sel("T1") {
-		header(w, "Table I — classification of parallel kernels")
-		t := &report.Table{Header: []string{"kernel", "bound by", "load balance", "memory access"}}
-		for _, k := range campaign.AllKernels(scale, k40Dev) {
-			c := k.Class()
-			t.Add(k.Name(), c.BoundBy, c.LoadBalance, c.MemoryAccess)
-		}
-		t.Render(w)
-	}
-
-	if sel("T2") {
-		header(w, "Table II — parallel kernels' details")
-		t := &report.Table{Header: []string{"kernel", "domain", "input size", "#threads (K40)", "#threads (Phi)"}}
-		for i, k := range campaign.AllKernels(scale, k40Dev) {
-			pk := k.Profile(k40Dev)
-			pp := campaign.AllKernels(scale, phiDev)[i].Profile(phiDev)
-			t.Add(k.Name(), k.Domain(), k.InputLabel(),
-				fmt.Sprint(pk.Threads), fmt.Sprint(pp.Threads))
-		}
-		t.Render(w)
-	}
-
-	if sel("F2") {
-		header(w, "Figure 2 — DGEMM mean relative error vs incorrect elements")
-		for _, dev := range []arch.Device{k40Dev, phiDev} {
-			s := scatter("DGEMM", 100, campaign.DGEMMCells(dev, scale),
-				func() campaign.ScatterSeries { return campaign.BuildDGEMMScatter(dev, scale, cfg) })
-			report.Scatter(w, s, 64, 16)
-			fmt.Fprintln(w)
-		}
-	}
-
-	if sel("F3") {
-		header(w, "Figure 3 — DGEMM spatial locality and magnitude (FIT a.u.)")
-		for _, dev := range []arch.Device{k40Dev, phiDev} {
-			f := locality("DGEMM", campaign.DGEMMCells(dev, scale),
-				func() campaign.LocalityFigure { return campaign.BuildDGEMMLocality(dev, scale, cfg, 2) })
-			report.LocalityBars(w, f, 60)
-			fmt.Fprintln(w)
-		}
-	}
-
-	if sel("F4") {
-		header(w, "Figure 4 — LavaMD mean relative error vs incorrect elements")
-		for _, dev := range []arch.Device{k40Dev, phiDev} {
-			s := scatter("LavaMD", 20000, campaign.LavaMDCells(dev, scale),
-				func() campaign.ScatterSeries { return campaign.BuildLavaMDScatter(dev, scale, cfg) })
-			report.Scatter(w, s, 64, 16)
-			fmt.Fprintln(w)
-		}
-	}
-
-	if sel("F5") {
-		header(w, "Figure 5 — LavaMD spatial locality and magnitude (FIT a.u.)")
-		for _, dev := range []arch.Device{k40Dev, phiDev} {
-			f := locality("LavaMD", campaign.LavaMDCells(dev, scale),
-				func() campaign.LocalityFigure { return campaign.BuildLavaMDLocality(dev, scale, cfg, 2) })
-			report.LocalityBars(w, f, 60)
-			fmt.Fprintln(w)
-		}
-	}
-
-	if sel("F6") {
-		header(w, "Figure 6 — HotSpot mean relative error vs incorrect elements")
-		for _, dev := range []arch.Device{k40Dev, phiDev} {
-			cells := []campaign.Cell{{Dev: dev, Kern: campaign.HotSpotKernel(scale)}}
-			s := scatter("HotSpot", 0, cells,
-				func() campaign.ScatterSeries { return campaign.BuildHotSpotScatter(dev, scale, cfg) })
-			report.Scatter(w, s, 64, 16)
-			fmt.Fprintln(w)
-		}
-	}
-
-	if sel("F7") {
-		header(w, "Figure 7 — HotSpot spatial locality and magnitude (FIT a.u.)")
-		for _, dev := range []arch.Device{k40Dev, phiDev} {
-			cells := []campaign.Cell{{Dev: dev, Kern: campaign.HotSpotKernel(scale)}}
-			f := locality("HotSpot", cells,
-				func() campaign.LocalityFigure { return campaign.BuildHotSpotLocality(dev, scale, cfg, 2) })
-			report.LocalityBars(w, f, 60)
-			fmt.Fprintln(w)
-		}
-	}
-
-	if sel("F8") {
-		header(w, "Figure 8 — CLAMR mean relative error vs incorrect elements (Xeon Phi)")
-		cells := []campaign.Cell{{Dev: phiDev, Kern: campaign.CLAMRKernel(scale)}}
-		s := scatter("CLAMR", 0, cells,
-			func() campaign.ScatterSeries { return campaign.BuildCLAMRScatter(phiDev, scale, cfg) })
-		report.Scatter(w, s, 64, 16)
-	}
-
-	if sel("F9") {
-		header(w, "Figure 9 — CLAMR error locality map")
-		report.LocalityMap(w, campaign.BuildCLAMRLocalityMap(phiDev, scale, cfg), 64)
-	}
-
-	if sel("S1") {
-		header(w, "§V preamble — SDC : crash+hang ratios")
-		var rows []campaign.RatioRow
-		if *stream {
-			var err error
-			if rows, err = campaign.SDCRatiosStreaming(scale, cfg); err != nil {
-				die(err)
-			}
-		} else {
-			rows = campaign.BuildSDCRatios(scale, cfg)
-		}
-		report.Ratios(w, rows)
-	}
-
-	if sel("S2") {
-		header(w, "§V-A — DGEMM FIT growth with input size")
-		for _, dev := range []arch.Device{k40Dev, phiDev} {
-			var rows []campaign.ScalingRow
-			if *stream {
-				var err error
-				if rows, err = campaign.DGEMMScalingStreaming(dev, scale, cfg, 2); err != nil {
-					die(err)
-				}
-			} else {
-				rows = campaign.BuildDGEMMScaling(dev, scale, cfg, 2)
-			}
-			report.Scaling(w, rows)
-			fmt.Fprintln(w)
-		}
-	}
-
-	if sel("S3") {
-		header(w, "§V-A — ABFT-correctable share of DGEMM errors")
-		for _, dev := range []arch.Device{k40Dev, phiDev} {
-			var rows []campaign.ABFTRow
-			if *stream {
-				var err error
-				if rows, err = campaign.ABFTCoverageStreaming(dev, scale, cfg); err != nil {
-					die(err)
-				}
-			} else {
-				rows = campaign.BuildABFTCoverage(dev, scale, cfg)
-			}
-			report.ABFT(w, rows)
-			fmt.Fprintln(w)
-		}
-	}
-
-	if sel("S4") {
-		header(w, "§V-D — CLAMR mass-conservation check coverage")
-		report.MassCheck(w, campaign.BuildMassCheckCoverage(phiDev, scale, cfg, 2))
-	}
-
-	if sel("X1") {
-		header(w, "Extension: §IV-D — beam vs software fault injector")
-		kern := mustKernel(cli.DefaultSpec("dgemm", scale, k40Dev))
-		res := campaign.Run(k40Dev, kern, cfg)
-		blind := swinject.Compare(res.ResourceTally)
-		sw := swinject.Run(k40Dev, kern, cfg.Strikes, cfg.Seed)
-		fmt.Fprintf(w, "K40 DGEMM %s, %d beam strikes vs %d software injections\n",
-			kern.InputLabel(), cfg.Strikes, cfg.Strikes)
-		fmt.Fprintf(w, "  software-injector AVF estimate: %.2f\n", sw.AVF)
-		fmt.Fprintf(w, "  beam SDCs outside the injector's reach: %d/%d (%.0f%%)\n",
-			blind.InaccessibleSDCs, blind.BeamSDCs, 100*blind.SDCBlindFraction())
-		fmt.Fprintf(w, "  beam crashes+hangs outside its reach:   %d/%d (%.0f%%)\n",
-			blind.InaccessibleDUEs, blind.BeamDUEs, 100*blind.DUEBlindFraction())
-		fmt.Fprintln(w, "  (the paper's §IV-D argument for beam time: schedulers, dispatchers")
-		fmt.Fprintln(w, "   and control logic are inaccessible to software injectors)")
+	for _, render := range set.renders {
+		render()
 	}
 
 	if err := prof.Stop(); err != nil {
@@ -326,39 +128,149 @@ func main() {
 	}
 }
 
-// prewarm maps artifact IDs to the experiment cells they read and runs the
-// union as one campaign matrix. Duplicate cells cost nothing: RunMatrix
-// single-flights them on the memo cache.
-//
-// Keep this mapping in sync with the renderer blocks in main: a missing
-// entry is invisible in output (the renderer recomputes its cells through
-// the same memo cache) but silently serialises that artifact's compute.
-func prewarm(sel func(string) bool, scale campaign.Scale, cfg campaign.Config, k40Dev, phiDev arch.Device) {
-	var cells []campaign.Cell
-	for _, dev := range []arch.Device{k40Dev, phiDev} {
-		if sel("F2") || sel("F3") || sel("S1") || sel("S2") || sel("S3") {
-			cells = append(cells, campaign.DGEMMCells(dev, scale)...)
+// artifactSet is the selected artifacts: the streaming pass that
+// evaluates every campaign cell they read, and their renderers in
+// presentation order. Renderers only run after the pass has.
+type artifactSet struct {
+	pass    *campaign.FigurePass
+	renders []func()
+}
+
+// selectArtifacts registers every selected artifact with one figure
+// pass and returns it with the renderers that print each artifact to w.
+// An artifact's cells and the statistics it prints come from the same
+// registration call, so the pass can neither miss a cell an artifact
+// reads nor run a cell twice.
+func selectArtifacts(w io.Writer, sel func(string) bool, scale campaign.Scale, cfg campaign.Config, maxPoints int) *artifactSet {
+	set := &artifactSet{pass: campaign.NewFigurePass(cfg, maxPoints)}
+	pass := set.pass
+	emit := func(title string, render func()) {
+		set.renders = append(set.renders, func() {
+			header(w, title)
+			render()
+		})
+	}
+	k40Dev := mustDevice("k40")
+	phiDev := mustDevice("phi")
+	devices := []arch.Device{k40Dev, phiDev}
+
+	if sel("T1") {
+		emit("Table I — classification of parallel kernels", func() {
+			t := &report.Table{Header: []string{"kernel", "bound by", "load balance", "memory access"}}
+			for _, k := range campaign.AllKernels(scale, k40Dev) {
+				c := k.Class()
+				t.Add(k.Name(), c.BoundBy, c.LoadBalance, c.MemoryAccess)
+			}
+			t.Render(w)
+		})
+	}
+
+	if sel("T2") {
+		emit("Table II — parallel kernels' details", func() {
+			t := &report.Table{Header: []string{"kernel", "domain", "input size", "#threads (K40)", "#threads (Phi)"}}
+			for i, k := range campaign.AllKernels(scale, k40Dev) {
+				pk := k.Profile(k40Dev)
+				pp := campaign.AllKernels(scale, phiDev)[i].Profile(phiDev)
+				t.Add(k.Name(), k.Domain(), k.InputLabel(),
+					fmt.Sprint(pk.Threads), fmt.Sprint(pp.Threads))
+			}
+			t.Render(w)
+		})
+	}
+
+	// perDevice registers one subfigure per device and renders them in
+	// device order, each followed by a blank line.
+	perDevice := func(id, title string, subfigure func(dev arch.Device) func()) {
+		if !sel(id) {
+			return
 		}
-		if sel("F4") || sel("F5") || sel("S1") {
-			cells = append(cells, campaign.LavaMDCells(dev, scale)...)
+		var subs []func()
+		for _, dev := range devices {
+			subs = append(subs, subfigure(dev))
 		}
-		if sel("F6") || sel("F7") || sel("S1") {
-			cells = append(cells, campaign.Cell{Dev: dev, Kern: campaign.HotSpotKernel(scale)})
-		}
-		if sel("S1") {
-			cells = append(cells, campaign.Cell{Dev: dev, Kern: campaign.CLAMRKernel(scale)})
+		emit(title, func() {
+			for _, sub := range subs {
+				sub()
+				fmt.Fprintln(w)
+			}
+		})
+	}
+	scatter := func(kernel string, capPct float64, cells func(arch.Device) []campaign.Cell) func(arch.Device) func() {
+		return func(dev arch.Device) func() {
+			s := pass.Scatter(kernel, capPct, cells(dev))
+			return func() { report.Scatter(w, s(), 64, 16) }
 		}
 	}
+	locality := func(kernel string, cells func(arch.Device) []campaign.Cell) func(arch.Device) func() {
+		return func(dev arch.Device) func() {
+			f := pass.Locality(kernel, cells(dev))
+			return func() { report.LocalityBars(w, f(), 60) }
+		}
+	}
+	dgemmCells := func(dev arch.Device) []campaign.Cell { return campaign.DGEMMCells(dev, scale) }
+	lavamdCells := func(dev arch.Device) []campaign.Cell { return campaign.LavaMDCells(dev, scale) }
+	hotspotCells := func(dev arch.Device) []campaign.Cell {
+		return []campaign.Cell{{Dev: dev, Kern: campaign.HotSpotKernel(scale)}}
+	}
+
+	perDevice("F2", "Figure 2 — DGEMM mean relative error vs incorrect elements", scatter("DGEMM", 100, dgemmCells))
+	perDevice("F3", "Figure 3 — DGEMM spatial locality and magnitude (FIT a.u.)", locality("DGEMM", dgemmCells))
+	perDevice("F4", "Figure 4 — LavaMD mean relative error vs incorrect elements", scatter("LavaMD", 20000, lavamdCells))
+	perDevice("F5", "Figure 5 — LavaMD spatial locality and magnitude (FIT a.u.)", locality("LavaMD", lavamdCells))
+	perDevice("F6", "Figure 6 — HotSpot mean relative error vs incorrect elements", scatter("HotSpot", 0, hotspotCells))
+	perDevice("F7", "Figure 7 — HotSpot spatial locality and magnitude (FIT a.u.)", locality("HotSpot", hotspotCells))
+
 	if sel("F8") {
-		cells = append(cells, campaign.Cell{Dev: phiDev, Kern: campaign.CLAMRKernel(scale)})
+		s := pass.Scatter("CLAMR", 0, []campaign.Cell{{Dev: phiDev, Kern: campaign.CLAMRKernel(scale)}})
+		emit("Figure 8 — CLAMR mean relative error vs incorrect elements (Xeon Phi)", func() {
+			report.Scatter(w, s(), 64, 16)
+		})
 	}
+
+	if sel("F9") {
+		emit("Figure 9 — CLAMR error locality map", func() {
+			report.LocalityMap(w, campaign.BuildCLAMRLocalityMap(phiDev, scale, cfg), 64)
+		})
+	}
+
+	if sel("S1") {
+		rows := pass.Ratios(campaign.AllCells(scale))
+		emit("§V preamble — SDC : crash+hang ratios", func() { report.Ratios(w, rows()) })
+	}
+
+	perDevice("S2", "§V-A — DGEMM FIT growth with input size", func(dev arch.Device) func() {
+		rows := pass.Scaling(dgemmCells(dev))
+		return func() { report.Scaling(w, rows()) }
+	})
+	perDevice("S3", "§V-A — ABFT-correctable share of DGEMM errors", func(dev arch.Device) func() {
+		rows := pass.ABFT(dgemmCells(dev))
+		return func() { report.ABFT(w, rows()) }
+	})
+
+	if sel("S4") {
+		emit("§V-D — CLAMR mass-conservation check coverage", func() {
+			report.MassCheck(w, campaign.BuildMassCheckCoverage(phiDev, scale, cfg, 2))
+		})
+	}
+
 	if sel("X1") {
 		kern := mustKernel(cli.DefaultSpec("dgemm", scale, k40Dev))
-		cells = append(cells, campaign.Cell{Dev: k40Dev, Kern: kern})
+		byResource := pass.ResourceTally(campaign.Cell{Dev: k40Dev, Kern: kern})
+		emit("Extension: §IV-D — beam vs software fault injector", func() {
+			blind := swinject.Compare(byResource())
+			sw := swinject.Run(k40Dev, kern, cfg.Strikes, cfg.Seed)
+			fmt.Fprintf(w, "K40 DGEMM %s, %d beam strikes vs %d software injections\n",
+				kern.InputLabel(), cfg.Strikes, cfg.Strikes)
+			fmt.Fprintf(w, "  software-injector AVF estimate: %.2f\n", sw.AVF)
+			fmt.Fprintf(w, "  beam SDCs outside the injector's reach: %d/%d (%.0f%%)\n",
+				blind.InaccessibleSDCs, blind.BeamSDCs, 100*blind.SDCBlindFraction())
+			fmt.Fprintf(w, "  beam crashes+hangs outside its reach:   %d/%d (%.0f%%)\n",
+				blind.InaccessibleDUEs, blind.BeamDUEs, 100*blind.DUEBlindFraction())
+			fmt.Fprintln(w, "  (the paper's §IV-D argument for beam time: schedulers, dispatchers")
+			fmt.Fprintln(w, "   and control logic are inaccessible to software injectors)")
+		})
 	}
-	if len(cells) > 0 {
-		campaign.RunMatrix(cells, cfg)
-	}
+	return set
 }
 
 func mustDevice(name string) arch.Device {
@@ -377,6 +289,6 @@ func mustKernel(spec string) kernels.Kernel {
 	return kern
 }
 
-func header(w *os.File, title string) {
+func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n================================================================\n%s\n================================================================\n", title)
 }

@@ -21,9 +21,7 @@ func TestRunDeterministicAndCached(t *testing.T) {
 	kern := dgemm.New(128)
 	a := Run(dev, kern, cfg(60))
 	b := Run(dev, kern, cfg(60))
-	if a != b {
-		t.Fatal("identical cells should hit the result cache")
-	}
+	requireIdentical(t, "repeated runs", a, b)
 	if a.Tally.Count() != 60 {
 		t.Fatalf("tally covers %d strikes, want 60", a.Tally.Count())
 	}
@@ -208,7 +206,12 @@ func TestBuildCLAMRLocalityMap(t *testing.T) {
 }
 
 func TestBuildSDCRatiosCoversMatrix(t *testing.T) {
-	rows := BuildSDCRatios(TestScale, cfg(80))
+	pass := NewFigurePass(cfg(80), 0)
+	ratios := pass.Ratios(AllCells(TestScale))
+	if err := pass.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rows := ratios()
 	// K40: 3 DGEMM + 3 LavaMD + HotSpot + CLAMR = 8; Phi: 4+4+2 = 10.
 	if len(rows) != 18 {
 		t.Fatalf("expected 18 rows, got %d", len(rows))
@@ -221,7 +224,12 @@ func TestBuildSDCRatiosCoversMatrix(t *testing.T) {
 }
 
 func TestBuildABFTCoverage(t *testing.T) {
-	rows := BuildABFTCoverage(k40.New(), TestScale, cfg(200))
+	pass := NewFigurePass(cfg(200), 0)
+	coverage := pass.ABFT(DGEMMCells(k40.New(), TestScale))
+	if err := pass.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rows := coverage()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -1,12 +1,12 @@
 package campaign
 
 import (
-	"radcrit/internal/abft"
 	"radcrit/internal/arch"
 	"radcrit/internal/beam"
 	"radcrit/internal/detect"
 	"radcrit/internal/fault"
 	"radcrit/internal/fit"
+	"radcrit/internal/injector"
 	"radcrit/internal/metrics"
 	"radcrit/internal/par"
 	"radcrit/internal/xrand"
@@ -30,52 +30,6 @@ type LabeledPoints struct {
 	Points []ScatterPoint
 }
 
-// BuildDGEMMScatter produces Fig. 2a/2b for a device.
-func BuildDGEMMScatter(dev arch.Device, s Scale, cfg Config) ScatterSeries {
-	out := ScatterSeries{Device: dev.ShortName(), Kernel: "DGEMM", CapPct: 100}
-	for _, res := range RunMatrix(DGEMMCells(dev, s), cfg) {
-		out.Series = append(out.Series, LabeledPoints{
-			Label:  res.Input,
-			Points: res.Scatter(out.CapPct),
-		})
-	}
-	return out
-}
-
-// BuildLavaMDScatter produces Fig. 4a/4b for a device.
-func BuildLavaMDScatter(dev arch.Device, s Scale, cfg Config) ScatterSeries {
-	out := ScatterSeries{Device: dev.ShortName(), Kernel: "LavaMD", CapPct: 20000}
-	for _, res := range RunMatrix(LavaMDCells(dev, s), cfg) {
-		out.Series = append(out.Series, LabeledPoints{
-			Label:  res.Input,
-			Points: res.Scatter(out.CapPct),
-		})
-	}
-	return out
-}
-
-// BuildHotSpotScatter produces Fig. 6a/6b for a device.
-func BuildHotSpotScatter(dev arch.Device, s Scale, cfg Config) ScatterSeries {
-	res := Run(dev, HotSpotKernel(s), cfg)
-	return ScatterSeries{
-		Device: dev.ShortName(),
-		Kernel: "HotSpot",
-		CapPct: 0,
-		Series: []LabeledPoints{{Label: res.Input, Points: res.Scatter(0)}},
-	}
-}
-
-// BuildCLAMRScatter produces Fig. 8 (Xeon Phi only in the paper).
-func BuildCLAMRScatter(dev arch.Device, s Scale, cfg Config) ScatterSeries {
-	res := Run(dev, CLAMRKernel(s), cfg)
-	return ScatterSeries{
-		Device: dev.ShortName(),
-		Kernel: "CLAMR",
-		CapPct: 0,
-		Series: []LabeledPoints{{Label: res.Input, Points: res.Scatter(0)}},
-	}
-}
-
 // LocalityBar is one input size's FIT breakdown pair in Figures 3, 5, 7.
 type LocalityBar struct {
 	Input string
@@ -95,44 +49,6 @@ type LocalityFigure struct {
 	Bars         []LocalityBar
 }
 
-// BuildDGEMMLocality produces Fig. 3a/3b.
-func BuildDGEMMLocality(dev arch.Device, s Scale, cfg Config, thresholdPct float64) LocalityFigure {
-	out := LocalityFigure{Device: dev.ShortName(), Kernel: "DGEMM", ThresholdPct: thresholdPct}
-	for _, res := range RunMatrix(DGEMMCells(dev, s), cfg) {
-		out.Bars = append(out.Bars, localityBar(res, thresholdPct))
-	}
-	return out
-}
-
-// BuildLavaMDLocality produces Fig. 5a/5b.
-func BuildLavaMDLocality(dev arch.Device, s Scale, cfg Config, thresholdPct float64) LocalityFigure {
-	out := LocalityFigure{Device: dev.ShortName(), Kernel: "LavaMD", ThresholdPct: thresholdPct}
-	for _, res := range RunMatrix(LavaMDCells(dev, s), cfg) {
-		out.Bars = append(out.Bars, localityBar(res, thresholdPct))
-	}
-	return out
-}
-
-// BuildHotSpotLocality produces Fig. 7a/7b.
-func BuildHotSpotLocality(dev arch.Device, s Scale, cfg Config, thresholdPct float64) LocalityFigure {
-	res := Run(dev, HotSpotKernel(s), cfg)
-	return LocalityFigure{
-		Device:       dev.ShortName(),
-		Kernel:       "HotSpot",
-		ThresholdPct: thresholdPct,
-		Bars:         []LocalityBar{localityBar(res, thresholdPct)},
-	}
-}
-
-func localityBar(res *Result, thresholdPct float64) LocalityBar {
-	return LocalityBar{
-		Input:            res.Input,
-		All:              res.LocalityBreakdown(0),
-		Filtered:         res.LocalityBreakdown(thresholdPct),
-		FilterMeaningful: res.FilteredFraction(thresholdPct) > 0,
-	}
-}
-
 // RatioRow is one (device, kernel, input) SDC:DUE ratio (§V preamble).
 type RatioRow struct {
 	Device string
@@ -141,29 +57,6 @@ type RatioRow struct {
 	SDC    int
 	DUE    int
 	Ratio  float64
-}
-
-// BuildSDCRatios produces the §V preamble statistics for every kernel and
-// input size on both devices. The whole device x kernel x input matrix is
-// evaluated concurrently; rows keep the §V presentation order.
-func BuildSDCRatios(s Scale, cfg Config) []RatioRow {
-	results := RunMatrix(AllCells(s), cfg)
-	rows := make([]RatioRow, len(results))
-	for i, res := range results {
-		rows[i] = ratioRow(res)
-	}
-	return rows
-}
-
-func ratioRow(res *Result) RatioRow {
-	return RatioRow{
-		Device: res.Device,
-		Kernel: res.Kernel,
-		Input:  res.Input,
-		SDC:    res.Tally.SDC,
-		DUE:    res.Tally.Crash + res.Tally.Hang,
-		Ratio:  res.Tally.SDCToDUERatio(),
-	}
 }
 
 // ScalingRow captures FIT growth with input size (§V-A: K40 DGEMM FIT
@@ -177,28 +70,6 @@ type ScalingRow struct {
 	GrowthFilter float64
 }
 
-// BuildDGEMMScaling produces the input-size FIT scaling series.
-func BuildDGEMMScaling(dev arch.Device, s Scale, cfg Config, thresholdPct float64) []ScalingRow {
-	var rows []ScalingRow
-	var baseAll, baseF float64
-	for i, res := range RunMatrix(DGEMMCells(dev, s), cfg) {
-		all := res.SDCFIT(0)
-		fl := res.SDCFIT(thresholdPct)
-		if i == 0 {
-			baseAll, baseF = all, fl
-		}
-		row := ScalingRow{Device: res.Device, Input: res.Input, FITAll: all, FITFiltered: fl}
-		if baseAll > 0 {
-			row.GrowthAll = all / baseAll
-		}
-		if baseF > 0 {
-			row.GrowthFilter = fl / baseF
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
 // ABFTRow is one device's ABFT-correctable share of DGEMM errors (§V-A).
 type ABFTRow struct {
 	Device string
@@ -209,22 +80,247 @@ type ABFTRow struct {
 	ResidualFraction float64
 }
 
-// BuildABFTCoverage evaluates the ABFT-correctable share of DGEMM SDCs per
-// input size (§V-A: "applying ABFT, DGEMM would be affected by only 20% to
-// 40% of all errors on K40, and 60% to 80% on Xeon Phi").
-func BuildABFTCoverage(dev arch.Device, s Scale, cfg Config) []ABFTRow {
-	var rows []ABFTRow
-	for _, res := range RunMatrix(DGEMMCells(dev, s), cfg) {
-		cov := abft.EvaluateCoverage(res.Reports)
-		frac := cov.CorrectableFraction()
-		rows = append(rows, ABFTRow{
-			Device:              res.Device,
-			Input:               res.Input,
-			CorrectableFraction: frac,
-			ResidualFraction:    1 - frac,
-		})
+// FigurePass builds the paper's aggregate artifacts — the scatter
+// figures, the locality figures, the SDC:DUE ratios, the DGEMM scaling
+// series, the ABFT coverage and the per-resource tallies — from one
+// streaming pass. Each artifact registers its cells with the reducers it
+// reads and gets back an assembler; Run then executes every distinct
+// (device, kernel, input) cell exactly once, in a single StreamMatrix
+// call carrying the union of the reducers its artifacts asked for, and
+// the assemblers fold that reducer state. Cells shared by several
+// artifacts (the DGEMM sweep feeds Figs. 2 and 3 and three §V
+// statistics) cost one strike loop, and no report outlives its strike.
+//
+// Assemblers must only be called after Run has returned.
+type FigurePass struct {
+	cfg       Config
+	maxPoints int
+	index     map[cellID]int
+	cells     []Cell
+	stats     []*cellStats
+}
+
+// figureThresholdPct is the relative-error filter of the locality
+// figures and the scaling series: the paper's conservative 2%.
+const figureThresholdPct = metrics.DefaultThresholdPct
+
+// cellID is a cell's identity: two Cells naming the same device, kernel
+// and input are one experiment, whatever kernel instance they hold.
+type cellID struct{ device, kernel, input string }
+
+// cellStats is one cell's reducer stack; a nil reducer was not asked for
+// by any registered artifact.
+type cellStats struct {
+	info          StreamInfo
+	tally         *TallyReducer
+	counts        *SDCCountReducer // thresholds {0, figureThresholdPct}
+	all, filtered *LocalityReducer
+	fraction      *FilteredFractionReducer
+	scatter       *ScatterReducer
+	abft          *ABFTReducer
+}
+
+func (s *cellStats) sinks() []Sink {
+	var sinks []Sink
+	if s.tally != nil {
+		sinks = append(sinks, s.tally)
 	}
-	return rows
+	if s.counts != nil {
+		sinks = append(sinks, s.counts)
+	}
+	if s.all != nil {
+		sinks = append(sinks, s.all, s.filtered, s.fraction)
+	}
+	if s.scatter != nil {
+		sinks = append(sinks, s.scatter)
+	}
+	if s.abft != nil {
+		sinks = append(sinks, s.abft)
+	}
+	return sinks
+}
+
+// NewFigurePass starts an empty pass under cfg. maxPoints bounds each
+// scatter cell's reservoir (<= 0 keeps every point).
+func NewFigurePass(cfg Config, maxPoints int) *FigurePass {
+	return &FigurePass{cfg: cfg, maxPoints: maxPoints, index: map[cellID]int{}}
+}
+
+// add registers cells, letting need attach reducers to each cell's stack,
+// and returns the stacks in cell order.
+func (p *FigurePass) add(cells []Cell, need func(s *cellStats, c Cell)) []*cellStats {
+	out := make([]*cellStats, len(cells))
+	for i, c := range cells {
+		id := cellID{c.Dev.ShortName(), c.Kern.Name(), c.Kern.InputLabel()}
+		k, ok := p.index[id]
+		if !ok {
+			k = len(p.cells)
+			p.index[id] = k
+			p.cells = append(p.cells, c)
+			p.stats = append(p.stats, &cellStats{})
+		}
+		need(p.stats[k], p.cells[k])
+		out[i] = p.stats[k]
+	}
+	return out
+}
+
+// Cells returns the distinct cells registered so far, in first-seen
+// order: exactly the cells Run evaluates.
+func (p *FigurePass) Cells() []Cell { return p.cells }
+
+// Run evaluates every registered cell once, concurrently, through the
+// streaming engine.
+func (p *FigurePass) Run() error {
+	infos, err := StreamMatrix(p.cells, p.cfg, func(i int, _ Cell) []Sink { return p.stats[i].sinks() })
+	for i, info := range infos {
+		p.stats[i].info = info
+	}
+	return err
+}
+
+// scatterRNG derives the deterministic reservoir-eviction stream of one
+// cell: a pure function of (seed, cell), independent of Workers, chunking
+// and sibling cells.
+func scatterRNG(cfg Config, c Cell) *xrand.RNG {
+	return xrand.New(cfg.Seed).
+		SplitString(c.Dev.ShortName()).
+		SplitString(c.Kern.Name()).
+		SplitString(c.Kern.InputLabel()).
+		SplitString("scatter-reservoir")
+}
+
+// Scatter registers a Figure-2/4/6/8 style series over cells: one labeled
+// point cloud per cell, its relative errors capped at capPct (<= 0
+// disables the cap). All cells must belong to one device and kernel
+// family. A cell carries one reservoir, so when two series register the
+// same cell the first registration's cap applies to both.
+func (p *FigurePass) Scatter(kernelName string, capPct float64, cells []Cell) func() ScatterSeries {
+	stats := p.add(cells, func(s *cellStats, c Cell) {
+		if s.scatter == nil {
+			s.scatter = NewScatterReducer(capPct, p.maxPoints, scatterRNG(p.cfg, c))
+		}
+	})
+	return func() ScatterSeries {
+		out := ScatterSeries{Kernel: kernelName, CapPct: capPct}
+		for _, s := range stats {
+			out.Device = s.info.Device
+			out.Series = append(out.Series, LabeledPoints{Label: s.info.Input, Points: s.scatter.Points()})
+		}
+		return out
+	}
+}
+
+// Locality registers a Figure-3/5/7 style figure over cells: the
+// unfiltered and the 2%-filtered FIT breakdown per input size.
+func (p *FigurePass) Locality(kernelName string, cells []Cell) func() LocalityFigure {
+	stats := p.add(cells, func(s *cellStats, _ Cell) {
+		if s.all == nil {
+			s.all = NewLocalityReducer(0)
+			s.filtered = NewLocalityReducer(figureThresholdPct)
+			s.fraction = NewFilteredFractionReducer(figureThresholdPct)
+		}
+	})
+	return func() LocalityFigure {
+		out := LocalityFigure{Kernel: kernelName, ThresholdPct: figureThresholdPct}
+		for _, s := range stats {
+			out.Device = s.info.Device
+			out.Bars = append(out.Bars, LocalityBar{
+				Input:            s.info.Input,
+				All:              s.all.Breakdown(s.info.Exposure),
+				Filtered:         s.filtered.Breakdown(s.info.Exposure),
+				FilterMeaningful: s.fraction.Fraction() > 0,
+			})
+		}
+		return out
+	}
+}
+
+func needTally(s *cellStats, _ Cell) {
+	if s.tally == nil {
+		s.tally = NewTallyReducer()
+	}
+}
+
+// Ratios registers the §V preamble SDC:DUE statistics, one row per cell.
+func (p *FigurePass) Ratios(cells []Cell) func() []RatioRow {
+	stats := p.add(cells, needTally)
+	return func() []RatioRow {
+		rows := make([]RatioRow, len(stats))
+		for i, s := range stats {
+			t := s.tally.Tally
+			rows[i] = RatioRow{
+				Device: s.info.Device,
+				Kernel: s.info.Kernel,
+				Input:  s.info.Input,
+				SDC:    t.SDC,
+				DUE:    t.Crash + t.Hang,
+				Ratio:  t.SDCToDUERatio(),
+			}
+		}
+		return rows
+	}
+}
+
+// ResourceTally registers one cell's per-resource outcome accounting (the
+// beam side of the §IV-D software-injector comparison).
+func (p *FigurePass) ResourceTally(c Cell) func() map[fault.Resource]injector.Tally {
+	s := p.add([]Cell{c}, needTally)[0]
+	return func() map[fault.Resource]injector.Tally { return s.tally.ByResource }
+}
+
+// Scaling registers the §V-A input-size FIT scaling series over cells,
+// unfiltered and 2%-filtered, growth taken relative to the first cell.
+func (p *FigurePass) Scaling(cells []Cell) func() []ScalingRow {
+	stats := p.add(cells, func(s *cellStats, _ Cell) {
+		if s.counts == nil {
+			s.counts = NewSDCCountReducer(0, figureThresholdPct)
+		}
+	})
+	return func() []ScalingRow {
+		var rows []ScalingRow
+		var baseAll, baseF float64
+		for i, s := range stats {
+			all := s.counts.FIT(0, s.info.Exposure)
+			fl := s.counts.FIT(1, s.info.Exposure)
+			if i == 0 {
+				baseAll, baseF = all, fl
+			}
+			row := ScalingRow{Device: s.info.Device, Input: s.info.Input, FITAll: all, FITFiltered: fl}
+			if baseAll > 0 {
+				row.GrowthAll = all / baseAll
+			}
+			if baseF > 0 {
+				row.GrowthFilter = fl / baseF
+			}
+			rows = append(rows, row)
+		}
+		return rows
+	}
+}
+
+// ABFT registers the §V-A ABFT-correctable share of SDCs per cell ("applying
+// ABFT, DGEMM would be affected by only 20% to 40% of all errors on K40,
+// and 60% to 80% on Xeon Phi").
+func (p *FigurePass) ABFT(cells []Cell) func() []ABFTRow {
+	stats := p.add(cells, func(s *cellStats, _ Cell) {
+		if s.abft == nil {
+			s.abft = NewABFTReducer()
+		}
+	})
+	return func() []ABFTRow {
+		rows := make([]ABFTRow, len(stats))
+		for i, s := range stats {
+			frac := s.abft.Coverage.CorrectableFraction()
+			rows[i] = ABFTRow{
+				Device:              s.info.Device,
+				Input:               s.info.Input,
+				CorrectableFraction: frac,
+				ResidualFraction:    1 - frac,
+			}
+		}
+		return rows
+	}
 }
 
 // MassCheckRow is the CLAMR detector-coverage statistic (§V-D: 82%).

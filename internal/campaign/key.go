@@ -25,8 +25,7 @@ const cellKeyVersion = "radcrit-cell-v1"
 // is deterministic in exactly these inputs), so a persistent result store
 // can serve one cell's summary for the other — across jobs, processes and
 // daemon restarts. Config.Workers and Config.StreamChunk are deliberately
-// excluded for the same reason they are excluded from the in-process memo
-// key: they can never change results, only wall time and checkpoint
+// excluded: they can never change results, only wall time and checkpoint
 // granularity.
 //
 // The key is spelled over the *spec strings*, not the resolved kernels:

@@ -89,8 +89,8 @@ func TestParallelEngineBitIdentical(t *testing.T) {
 		serial.Workers = 1
 		parallel := serial
 		parallel.Workers = 8
-		a := runUncached(cell.Dev, cell.Kern, serial)
-		b := runUncached(cell.Dev, cell.Kern, parallel)
+		a := Run(cell.Dev, cell.Kern, serial)
+		b := Run(cell.Dev, cell.Kern, parallel)
 		requireIdentical(t, cell.Kern.Name(), a, b)
 	}
 }
@@ -103,9 +103,9 @@ func TestParallelEngineGOMAXPROCSInvariant(t *testing.T) {
 	cfg := DefaultConfig(23, 160) // Workers = 0: sized by GOMAXPROCS
 
 	prev := runtime.GOMAXPROCS(1)
-	a := runUncached(dev, kern, cfg)
+	a := Run(dev, kern, cfg)
 	runtime.GOMAXPROCS(8)
-	b := runUncached(dev, kern, cfg)
+	b := Run(dev, kern, cfg)
 	runtime.GOMAXPROCS(prev)
 
 	requireIdentical(t, "GOMAXPROCS 1 vs 8", a, b)
@@ -119,15 +119,15 @@ func TestParallelEngineRepeatedRunsIdentical(t *testing.T) {
 	kern := dgemm.New(128)
 	cfg := DefaultConfig(31, 160)
 	cfg.Workers = 8
-	a := runUncached(dev, kern, cfg)
-	b := runUncached(dev, kern, cfg)
+	a := Run(dev, kern, cfg)
+	b := Run(dev, kern, cfg)
 	requireIdentical(t, "repeated parallel runs", a, b)
 }
 
-// TestRunSingleFlight verifies the memo cache's single-flight behaviour:
-// concurrent Run calls on one uncached cell must all return the same
-// *Result instance (the racing pre-fix cache could compute a cell twice
-// and hand different callers different instances).
+// TestRunSingleFlight verifies that concurrent Run calls on one cell are
+// safe and agree: Run keeps no shared state between calls, so every
+// caller computes the cell itself and all of them get bit-identical
+// results.
 func TestRunSingleFlight(t *testing.T) {
 	dev := k40.New()
 	kern := dgemm.New(192)
@@ -145,41 +145,55 @@ func TestRunSingleFlight(t *testing.T) {
 		<-done
 	}
 	for c := 1; c < callers; c++ {
-		if results[c] != results[0] {
-			t.Fatalf("caller %d got a different *Result: single-flight broken", c)
-		}
+		requireIdentical(t, "concurrent caller", results[0], results[c])
 	}
 }
 
-// TestRunMatrixOrderAndDedup checks that RunMatrix preserves cell order
-// and that duplicate cells resolve to the same memoised result.
+// TestRunMatrixOrderAndDedup checks that a FigurePass keeps its cells in
+// first-seen order, that a duplicate cell (even a distinct kernel
+// instance) is evaluated once, and that every registration of it reads
+// the shared reducer state.
 func TestRunMatrixOrderAndDedup(t *testing.T) {
 	cells := []Cell{
 		{Dev: k40.New(), Kern: dgemm.New(128)},
 		{Dev: phi.New(), Kern: dgemm.New(128)},
 		{Dev: k40.New(), Kern: dgemm.New(128)}, // duplicate of cell 0
 	}
-	cfg := DefaultConfig(53, 60)
-	results := RunMatrix(cells, cfg)
-	if len(results) != len(cells) {
-		t.Fatalf("got %d results for %d cells", len(results), len(cells))
+	p := NewFigurePass(DefaultConfig(53, 60), 0)
+	ratios := p.Ratios(cells)
+	distinct := p.Cells()
+	if len(distinct) != 2 {
+		t.Fatalf("pass holds %d cells, want 2 distinct", len(distinct))
 	}
-	for i, res := range results {
-		if res.Device != cells[i].Dev.ShortName() || res.Input != cells[i].Kern.InputLabel() {
-			t.Fatalf("result %d out of order: %s/%s", i, res.Device, res.Input)
+	for i, c := range distinct {
+		if c.Dev.ShortName() != cells[i].Dev.ShortName() || c.Kern.InputLabel() != cells[i].Kern.InputLabel() {
+			t.Fatalf("distinct cell %d out of order: %s/%s", i, c.Dev.ShortName(), c.Kern.InputLabel())
 		}
 	}
-	if results[0] != results[2] {
-		t.Fatal("duplicate cells should share one memoised result")
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if results[0] == results[1] {
-		t.Fatal("distinct devices must not share a result")
+	rows := ratios()
+	if len(rows) != len(cells) {
+		t.Fatalf("got %d rows for %d cells", len(rows), len(cells))
+	}
+	for i, row := range rows {
+		if row.Device != cells[i].Dev.ShortName() || row.Input != cells[i].Kern.InputLabel() {
+			t.Fatalf("row %d out of order: %s/%s", i, row.Device, row.Input)
+		}
+	}
+	if rows[0] != rows[2] {
+		t.Fatalf("duplicate cells disagree: %+v vs %+v", rows[0], rows[2])
+	}
+	if rows[0].Device == rows[1].Device {
+		t.Fatal("distinct devices must not share a row")
 	}
 }
 
 // TestWorkersExcludedFromMemoKey pins the Config.Workers contract: the
-// worker count must not fragment the memo cache, because it cannot change
-// results.
+// worker count cannot change results, so it is left out of the cell's
+// content address (CellKey) and Run gives identical results under any
+// worker count.
 func TestWorkersExcludedFromMemoKey(t *testing.T) {
 	dev := phi.New()
 	kern := dgemm.New(192)
@@ -187,8 +201,49 @@ func TestWorkersExcludedFromMemoKey(t *testing.T) {
 	a.Workers = 1
 	b := DefaultConfig(59, 60)
 	b.Workers = 8
-	if Run(dev, kern, a) != Run(dev, kern, b) {
-		t.Fatal("Workers fragmented the memo cache")
+	spec := CellSpec{Device: "phi", Kernel: "dgemm:192"}
+	if CellKey(spec, a, nil) != CellKey(spec, b, nil) {
+		t.Fatal("Workers changed the cell key")
+	}
+	requireIdentical(t, "workers 1 vs 8", Run(dev, kern, a), Run(dev, kern, b))
+}
+
+// invalidKernel wraps a real kernel with a degenerate profile, to drive
+// the engine's failure path.
+type invalidKernel struct{ kernels.Kernel }
+
+func (invalidKernel) Profile(dev arch.Device) arch.Profile { return arch.Profile{} }
+
+// TestRunPoisonedEntryPanicsAgain pins Run's failure semantics: a cell
+// whose computation fails (invalid profile) must fail loudly on every
+// call, never return a nil *Result on a retry.
+func TestRunPoisonedEntryPanicsAgain(t *testing.T) {
+	dev := k40.New()
+	kern := invalidKernel{dgemm.New(128)}
+	cfg := DefaultConfig(83, 10)
+	mustPanic := func(label string) {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: expected panic", label)
+			}
+		}()
+		Run(dev, kern, cfg)
+	}
+	mustPanic("first run (invalid profile)")
+	mustPanic("retry of the failed cell")
+}
+
+// TestRunFreshWorkerInvariant cross-checks Run (the uncached engine entry
+// the benchmarks use) across worker counts for every kernel family.
+func TestRunFreshWorkerInvariant(t *testing.T) {
+	for _, cell := range determinismCells() {
+		cfgA := DefaultConfig(71, 80)
+		cfgA.Workers = 1
+		cfgB := cfgA
+		cfgB.Workers = 4
+		a := Run(cell.Dev, cell.Kern, cfgA)
+		b := Run(cell.Dev, cell.Kern, cfgB)
+		requireIdentical(t, cell.Kern.Name()+" fresh", a, b)
 	}
 }
 
@@ -212,45 +267,5 @@ func TestSessionlessBuildersDeterministicUnderWorkers(t *testing.T) {
 	mapB := BuildCLAMRLocalityMap(dev, TestScale, parallel)
 	if !reflect.DeepEqual(mapA, mapB) {
 		t.Fatal("locality map depends on workers")
-	}
-}
-
-// invalidKernel wraps a real kernel with a degenerate profile, to drive
-// the engine's failure path.
-type invalidKernel struct{ kernels.Kernel }
-
-func (invalidKernel) Profile(dev arch.Device) arch.Profile { return arch.Profile{} }
-
-// TestRunPoisonedEntryPanicsAgain pins the memo's failure semantics: a
-// cell whose first computation panicked (invalid profile) must keep
-// failing loudly on retry instead of returning a nil *Result out of the
-// poisoned single-flight entry.
-func TestRunPoisonedEntryPanicsAgain(t *testing.T) {
-	dev := k40.New()
-	kern := invalidKernel{dgemm.New(128)}
-	cfg := DefaultConfig(83, 10)
-	mustPanic := func(label string) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: expected panic", label)
-			}
-		}()
-		Run(dev, kern, cfg)
-	}
-	mustPanic("first run (invalid profile)")
-	mustPanic("retry on poisoned entry")
-}
-
-// TestRunFreshWorkerInvariant cross-checks RunFresh (the uncached engine
-// entry benchmarks use) across worker counts for every kernel family.
-func TestRunFreshWorkerInvariant(t *testing.T) {
-	for _, cell := range determinismCells() {
-		cfgA := DefaultConfig(71, 80)
-		cfgA.Workers = 1
-		cfgB := cfgA
-		cfgB.Workers = 4
-		a := RunFresh(cell.Dev, cell.Kern, cfgA)
-		b := RunFresh(cell.Dev, cell.Kern, cfgB)
-		requireIdentical(t, cell.Kern.Name()+" fresh", a, b)
 	}
 }

@@ -39,17 +39,14 @@ const goldenPlanJSON = `{
 
 // TestPlanReproducesGoldenTable is the plan API's regression anchor: a
 // campaign defined entirely as JSON must reproduce the frozen
-// seed-42/300-strike table bit for bit through every Runner — the batch
-// engine, the streaming reducer stack, and the concurrent matrix.
+// seed-42/300-strike table bit for bit through every Runner.
 func TestPlanReproducesGoldenTable(t *testing.T) {
 	plan, err := LoadPlan(strings.NewReader(goldenPlanJSON))
 	if err != nil {
 		t.Fatalf("golden plan failed to load: %v", err)
 	}
 	runners := map[string]Runner{
-		"batch":  &BatchRunner{},
 		"stream": &StreamRunner{},
-		"matrix": &MatrixRunner{},
 	}
 	for rname, r := range runners {
 		res, err := r.Run(context.Background(), plan)
@@ -79,12 +76,6 @@ func TestPlanReproducesGoldenTable(t *testing.T) {
 			for k, hex := range want.locality {
 				requireGoldenFloat(t, label+": locality["+s.Locality[0].Labels[k]+"]",
 					s.Locality[0].Values[k], hex)
-			}
-			if rname == "stream" && out.Result != nil {
-				t.Errorf("%s: streaming runner retained a batch Result", label)
-			}
-			if rname != "stream" && out.Result == nil {
-				t.Errorf("%s: batch-family runner dropped its Result", label)
 			}
 		}
 	}
@@ -157,6 +148,10 @@ func TestStreamRunnerCancellation(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
+// TestBatchRunnerCancellationBetweenCells pins cancellation at a cell
+// boundary: a cell that completed before the cancel keeps its full
+// outcome, and the cell the runner never reached is marked with ctx.Err()
+// and carries no summary.
 func TestBatchRunnerCancellationBetweenCells(t *testing.T) {
 	before := runtime.NumGoroutine()
 	plan := NewPlan(9, 120).
@@ -164,7 +159,7 @@ func TestBatchRunnerCancellationBetweenCells(t *testing.T) {
 		WithCell("phi", "dgemm:128")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := &BatchRunner{Progress: Progress{
+	r := &StreamRunner{Progress: Progress{
 		OnCell: func(i int, out *CellOutcome) {
 			if i == 0 {
 				cancel()
@@ -184,11 +179,13 @@ func TestBatchRunnerCancellationBetweenCells(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
+// TestMatrixRunnerPreCancelled pins that a plan spanning several devices
+// is not started under an already-cancelled context.
 func TestMatrixRunnerPreCancelled(t *testing.T) {
 	plan := NewPlan(9, 50).WithKernelOnDevices("dgemm:128", "k40", "phi")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (&MatrixRunner{}).Run(ctx, plan); !errors.Is(err, context.Canceled) {
+	if _, err := (&StreamRunner{}).Run(ctx, plan); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run returned %v", err)
 	}
 }
@@ -204,7 +201,7 @@ func TestBuildCtxHonoursCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled BuildCtx returned %v", err)
 	}
 	for name, r := range map[string]Runner{
-		"batch": &BatchRunner{}, "stream": &StreamRunner{}, "matrix": &MatrixRunner{},
+		"stream": &StreamRunner{},
 	} {
 		res, err := r.Run(ctx, plan)
 		if !errors.Is(err, context.Canceled) {
@@ -240,10 +237,10 @@ func (stubKernel) RunInjectedPooled(kernels.GoldenState, arch.Injection, *xrand.
 	return nil
 }
 
-// TestCellErrorCachedNotRepanicked pins the satellite fix: a failed cell
-// returns a typed *CellError through RunCtx, the memo caches that error
-// (single-flight semantics preserved), and retries observe the identical
-// cached failure instead of the old "previously failed to compute" panic.
+// TestCellErrorCachedNotRepanicked pins the failure contract of the
+// retained path: a failed cell returns a typed *CellError carrying the
+// cell's identity through RunCtx, a retry observes the same typed failure
+// instead of a panic, and only Run panics, with that error's message.
 func TestCellErrorCachedNotRepanicked(t *testing.T) {
 	dev := mustDev(t, "k40")
 	cfg := DefaultConfig(1, 10)
@@ -256,13 +253,19 @@ func TestCellErrorCachedNotRepanicked(t *testing.T) {
 		t.Errorf("CellError lacks cell identity: %+v", ce)
 	}
 	_, err2 := RunCtx(context.Background(), dev, stubKernel{}, cfg)
-	if err1 != err2 {
-		t.Errorf("second call recomputed the failure: %v vs %v", err1, err2)
+	if !errors.As(err2, &ce) || err2.Error() != err1.Error() {
+		t.Errorf("retry failed differently: %v vs %v", err2, err1)
 	}
+	defer func() {
+		if r := recover(); r != err1.Error() {
+			t.Errorf("Run panicked with %v, want %q", r, err1.Error())
+		}
+	}()
+	Run(dev, stubKernel{}, cfg)
 }
 
-// TestCancelledCellNotCached pins that a context cancellation is never
-// memoised: the next caller with a live context gets the real result.
+// TestCancelledCellNotCached pins that a context cancellation leaves no
+// state behind: the next caller with a live context gets the real result.
 func TestCancelledCellNotCached(t *testing.T) {
 	dev := mustDev(t, "phi")
 	kern := mustKern(t, "lavamd:3")
@@ -275,7 +278,7 @@ func TestCancelledCellNotCached(t *testing.T) {
 	}
 	res, err := RunCtx(context.Background(), dev, kern, cfg)
 	if err != nil || res == nil {
-		t.Fatalf("cache poisoned by cancellation: %v", err)
+		t.Fatalf("retry after cancellation failed: %v", err)
 	}
 	if got := res.Tally.Masked + res.Tally.SDC + res.Tally.Crash + res.Tally.Hang; got != 200 {
 		t.Errorf("retry ran %d strikes, want 200", got)
@@ -283,7 +286,7 @@ func TestCancelledCellNotCached(t *testing.T) {
 }
 
 // panicKernel panics during session setup: the worst-case third-party
-// kernel bug the memo must survive.
+// kernel bug the engine must survive.
 type panicKernel struct{ stubKernel }
 
 func (panicKernel) Name() string { return "PanicStub" }
@@ -292,10 +295,8 @@ func (panicKernel) Profile(arch.Device) arch.Profile {
 }
 
 // TestPanickingCellDoesNotWedgeMemo pins that a panic escaping a cell
-// computation returns the single-flight slot to idle: the panic
-// propagates to the caller, but later callers of the same cell retry
-// (and observe the same panic) instead of blocking forever on a wake
-// channel that never closes.
+// computation propagates to the caller and leaves nothing behind: a later
+// call of the same cell observes the same panic instead of blocking.
 func TestPanickingCellDoesNotWedgeMemo(t *testing.T) {
 	dev := mustDev(t, "k40")
 	cfg := DefaultConfig(1, 10)
@@ -316,18 +317,19 @@ func TestPanickingCellDoesNotWedgeMemo(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("second call deadlocked on the wedged memo entry")
+		t.Fatal("second call deadlocked after the first call's panic")
 	}
 }
 
-// TestSingleFlightFollowerCancellable pins the memo's waiting contract: a
-// caller queued behind another caller's in-flight computation of the same
-// cell must honour its own context instead of blocking until the leader
-// finishes — and the leader must still complete and populate the cache.
+// TestSingleFlightFollowerCancellable pins that concurrent callers of one
+// cell are independent: a caller with a cancelled context returns
+// ctx.Err() promptly while another caller's computation of the same cell
+// is in flight, and that computation still completes with the result a
+// fresh call reproduces bit for bit.
 func TestSingleFlightFollowerCancellable(t *testing.T) {
 	dev := mustDev(t, "k40")
 	kern := mustKern(t, "dgemm:128")
-	cfg := DefaultConfig(777, 3000) // long enough that a leader is usually mid-flight
+	cfg := DefaultConfig(777, 3000) // long enough that the first caller is usually mid-flight
 	cfg.StreamChunk = 64
 
 	leaderDone := make(chan *Result, 1)
@@ -339,9 +341,6 @@ func TestSingleFlightFollowerCancellable(t *testing.T) {
 		leaderDone <- res
 	}()
 
-	// Whichever state the follower finds — queued behind the leader, or
-	// leading itself — a cancelled context must surface promptly as
-	// ctx.Err(), never as a wait for the full strike loop.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
@@ -356,12 +355,11 @@ func TestSingleFlightFollowerCancellable(t *testing.T) {
 	if res == nil {
 		t.Fatal("leader produced no result")
 	}
-	// The cache must now be warm: a background-context call returns the
-	// leader's exact result.
 	again, err := RunCtx(context.Background(), dev, kern, cfg)
-	if err != nil || again != res {
-		t.Errorf("cache not populated by leader: %v (same=%v)", err, again == res)
+	if err != nil {
+		t.Fatalf("fresh call: %v", err)
 	}
+	requireIdentical(t, "leader vs fresh call", res, again)
 }
 
 func mustDev(t *testing.T, name string) arch.Device {

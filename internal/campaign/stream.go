@@ -36,8 +36,7 @@ const DefaultStreamChunk = 512
 // duration of the Consume call. Once every sink has consumed a strike the
 // engine releases the report back to the session pool for reuse by a
 // later strike, so a sink must extract what it needs before returning and
-// must Clone the report to retain it (as the batch engine's result sink
-// does). The online reducers all satisfy this by construction.
+// must Clone the report to retain it (as Run's result sink does). The online reducers all satisfy this by construction.
 type Sink interface {
 	Consume(i int, out injector.Outcome)
 }
@@ -53,8 +52,7 @@ type ChunkFlusher interface {
 // StreamInfo is the cell metadata a streaming run yields in place of a
 // *Result: identity, occupancy profile and the back-computed beam
 // exposure. Reducers combine it with their accumulated state to produce
-// the same statistics the batch Result methods compute from retained
-// reports.
+// the same statistics the Result methods compute from retained reports.
 type StreamInfo struct {
 	Device  string
 	Kernel  string
@@ -77,8 +75,8 @@ func CellInfo(dev arch.Device, kern kernels.Kernel, cfg Config) (StreamInfo, err
 }
 
 // cellInfo assembles the metadata for a validated session. The exposure
-// back-computation matches the batch engine's exactly: strikes derated
-// into the single-strike regime, beam hours solved from the strike count.
+// is back-computed: strikes derated into the single-strike regime, beam
+// hours solved from the strike count.
 func cellInfo(ses *injector.Session, dev arch.Device, kern kernels.Kernel, cfg Config) StreamInfo {
 	prof := ses.Profile()
 	execSeconds := prof.RelRuntime * cfg.BaseExecSeconds
@@ -102,7 +100,7 @@ func cellInfo(ses *injector.Session, dev arch.Device, kern kernels.Kernel, cfg C
 
 // RunStreaming executes cfg.Strikes strikes of kern on dev, feeding every
 // outcome to the sinks in strike-index order, holding O(chunk + reducer
-// state) memory instead of the batch engine's O(SDC reports). Strikes
+// state) memory instead of a retained Result's O(SDC reports). Strikes
 // within a chunk fan out over the Config.Workers pool with per-index RNG
 // splits, so the outcome stream is bit-identical for any worker count.
 func RunStreaming(dev arch.Device, kern kernels.Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
@@ -199,8 +197,8 @@ func RunStreamingFromCtx(ctx context.Context, dev arch.Device, kern kernels.Kern
 // streaming engine. The sinks factory is called once per cell (from that
 // cell's goroutine) and must return the sinks that cell feeds; per-cell
 // reducers need no locking because each cell's consume loop is a single
-// goroutine. Infos are returned in cell order. Unlike RunMatrix, nothing
-// is memoised: streaming trades the shared-cell cache for bounded memory.
+// goroutine. Infos are returned in cell order. Nothing is cached: a cell
+// listed twice runs twice (FigurePass deduplicates before calling here).
 func StreamMatrix(cells []Cell, cfg Config, sinks func(i int, c Cell) []Sink) ([]StreamInfo, error) {
 	infos := make([]StreamInfo, len(cells))
 	errs := make([]error, len(cells))
@@ -223,7 +221,7 @@ func StreamMatrix(cells []Cell, cfg Config, sinks func(i int, c Cell) []Sink) ([
 
 // --- Online reducers ---
 //
-// Each reducer mirrors one batch Result method bit for bit: the golden and
+// Each reducer mirrors one Result method bit for bit: the golden and
 // property suites in golden_test.go / stream_test.go pin the equivalence.
 
 // TallyReducer accumulates the outcome tally and its per-resource split —
@@ -260,7 +258,7 @@ func (t *TallyReducer) Consume(_ int, out injector.Outcome) {
 
 // SDCCountReducer counts SDC executions that survive each of a set of
 // relative-error thresholds — the streaming counterpart of Result.SDCFIT
-// (a threshold <= 0 counts every SDC, as in the batch method).
+// (a threshold <= 0 counts every SDC, as in the Result method).
 type SDCCountReducer struct {
 	Thresholds []float64
 	Counts     []int
@@ -436,8 +434,8 @@ func (r *ABFTReducer) Consume(_ int, out injector.Outcome) {
 	r.Coverage.Add(out.Report)
 }
 
-// resultSink rebuilds the batch *Result from the outcome stream: the
-// compat stack that lets Run/RunFresh share one engine with RunStreaming.
+// resultSink rebuilds the retained *Result from the outcome stream: the
+// stack that lets Run share one engine with RunStreaming.
 // The tally/per-resource accounting is delegated to a TallyReducer (one
 // merge loop, not two to drift apart); this sink only adds the report
 // retention that makes a Result a Result. Because the engine recycles

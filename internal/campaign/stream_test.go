@@ -125,7 +125,7 @@ func TestStreamingEquivalenceProperty(t *testing.T) {
 
 		batchCfg := cfg
 		batchCfg.Workers = 1
-		res := RunFresh(dev, kern, batchCfg)
+		res := Run(dev, kern, batchCfg)
 
 		for _, workers := range []int{1, 8} {
 			streamCfg := cfg
@@ -182,62 +182,6 @@ func TestScatterReservoirBounded(t *testing.T) {
 	}
 }
 
-// TestStreamingBuildersMatchBatch pins the streaming figure builders
-// against their batch counterparts on a shared matrix.
-func TestStreamingBuildersMatchBatch(t *testing.T) {
-	cfg := DefaultConfig(301, 120)
-	dev := k40.New()
-
-	batchScatter := BuildDGEMMScatter(dev, TestScale, cfg)
-	streamScatter, err := ScatterStreaming("DGEMM", 100, 0, DGEMMCells(dev, TestScale), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchScatter, streamScatter) {
-		t.Fatal("streaming DGEMM scatter differs from batch")
-	}
-
-	batchLoc := BuildDGEMMLocality(dev, TestScale, cfg, 2)
-	streamLoc, err := LocalityStreaming("DGEMM", DGEMMCells(dev, TestScale), cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchLoc, streamLoc) {
-		t.Fatal("streaming DGEMM locality differs from batch")
-	}
-
-	// The full 18-cell matrix is the expensive comparison: a reduced
-	// strike count keeps the property meaningful (every cell, every row
-	// field) without doubling the suite's wall time.
-	ratioCfg := DefaultConfig(301, 40)
-	batchRatios := BuildSDCRatios(TestScale, ratioCfg)
-	streamRatios, err := SDCRatiosStreaming(TestScale, ratioCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchRatios, streamRatios) {
-		t.Fatal("streaming SDC ratios differ from batch")
-	}
-
-	batchScaling := BuildDGEMMScaling(dev, TestScale, cfg, 2)
-	streamScaling, err := DGEMMScalingStreaming(dev, TestScale, cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchScaling, streamScaling) {
-		t.Fatal("streaming DGEMM scaling differs from batch")
-	}
-
-	batchABFT := BuildABFTCoverage(dev, TestScale, cfg)
-	streamABFT, err := ABFTCoverageStreaming(dev, TestScale, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(batchABFT, streamABFT) {
-		t.Fatal("streaming ABFT coverage differs from batch")
-	}
-}
-
 // TestCheckpointLogMatchesResult checks the checkpointed event stream is a
 // faithful, parseable record: counts, masked executions and per-SDC
 // mismatches all reconstruct the batch result.
@@ -263,7 +207,7 @@ func TestCheckpointLogMatchesResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res := RunFresh(dev, kern, cfg)
+	res := Run(dev, kern, cfg)
 	l, err := logdata.Parse(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +351,7 @@ func TestStreamChunkInvariant(t *testing.T) {
 	for _, chunk := range []int{1, 7, 64, 1000} {
 		cfg := base
 		cfg.StreamChunk = chunk
-		res := RunFresh(dev, kern, cfg)
+		res := Run(dev, kern, cfg)
 		if first == nil {
 			first = res
 			continue

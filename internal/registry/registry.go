@@ -113,7 +113,7 @@ var (
 // RegisterDevice registers a device factory under name. Registering an
 // existing name replaces it (last registration wins), letting tests and
 // plugins shadow a built-in — but only before any campaign has run:
-// the engine memo caches and the iterative-kernel instance caches are
+// the result store and the iterative-kernel instance caches are
 // keyed by name strings and are never invalidated by re-registration,
 // so results computed before the shadowing would be served afterwards.
 // Register at init time, as the built-ins do.

@@ -12,7 +12,8 @@ import (
 
 // TestPlanFacadeEndToEnd drives the declarative surface exactly as a
 // third-party consumer would: build a plan fluently, serialise it, load
-// it back, and run it on both engine families with progress hooks.
+// it back, run it with progress hooks, and check every summary against
+// the retained per-cell path.
 func TestPlanFacadeEndToEnd(t *testing.T) {
 	plan := radcrit.NewPlan(42, 120).
 		Named("facade-e2e").
@@ -30,27 +31,27 @@ func TestPlanFacadeEndToEnd(t *testing.T) {
 	}
 
 	var cells int
-	batch := radcrit.NewBatchRunner()
-	batch.Progress = radcrit.Progress{OnCell: func(int, *radcrit.CellOutcome) { cells++ }}
-	bres, err := batch.Run(context.Background(), loaded)
+	stream := radcrit.NewStreamRunner()
+	stream.Progress = radcrit.Progress{OnCell: func(int, *radcrit.CellOutcome) { cells++ }}
+	sres, err := stream.Run(context.Background(), loaded)
 	if err != nil {
-		t.Fatalf("batch run: %v", err)
+		t.Fatalf("stream run: %v", err)
 	}
 	if cells != 2 {
 		t.Errorf("OnCell fired %d times", cells)
 	}
-	sres, err := radcrit.NewStreamRunner().Run(context.Background(), loaded)
+	built, err := loaded.Build()
 	if err != nil {
-		t.Fatalf("stream run: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	for i := range bres.Cells {
-		b, s := bres.Cells[i].Summary, sres.Cells[i].Summary
+	for i, c := range built {
+		b, s := radcrit.RunCampaign(c.Dev, c.Kern, loaded.Config()), sres.Cells[i].Summary
 		if b.Tally != s.Tally {
-			t.Errorf("cell %d: engines disagree on tally: %+v vs %+v", i, b.Tally, s.Tally)
+			t.Errorf("cell %d: paths disagree on tally: %+v vs %+v", i, b.Tally, s.Tally)
 		}
-		for k := range b.SDCFIT {
-			if b.SDCFIT[k] != s.SDCFIT[k] {
-				t.Errorf("cell %d threshold %d: engines disagree on SDC FIT", i, k)
+		for k, th := range s.Thresholds {
+			if b.SDCFIT(th) != s.SDCFIT[k] {
+				t.Errorf("cell %d threshold %d: paths disagree on SDC FIT", i, k)
 			}
 		}
 		if b.Tally.SDC == 0 {
@@ -67,9 +68,7 @@ func TestFacadeRejectsInvalidPlans(t *testing.T) {
 	}
 	bad := radcrit.NewPlan(1, 0).WithCell("k40", "dgemm:128")
 	for name, r := range map[string]radcrit.Runner{
-		"batch":  radcrit.NewBatchRunner(),
 		"stream": radcrit.NewStreamRunner(),
-		"matrix": radcrit.NewMatrixRunner(),
 	} {
 		if _, err := r.Run(context.Background(), bad); err == nil {
 			t.Errorf("%s runner accepted a zero-strike plan", name)
