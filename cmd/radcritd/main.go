@@ -45,7 +45,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -53,7 +52,6 @@ import (
 	"radcrit/internal/campaign"
 	"radcrit/internal/cli"
 	"radcrit/internal/fleet"
-	"radcrit/internal/remotestore"
 	"radcrit/internal/scratch"
 	"radcrit/internal/service"
 	"radcrit/internal/store"
@@ -67,7 +65,7 @@ func main() {
 	executors := flag.Int("executors", 2, "jobs executed concurrently")
 	storeCapMB := flag.Int64("store-cap-mb", 0, "result-store size cap in MiB before LRU eviction (0 = uncapped)")
 	tenantsPath := flag.String("tenants", "", "tenant registry `file` (default <state>/tenants.json; missing file = default tenant only)")
-	storeBackend := flag.String("store-backend", "disk", "result store backend: disk, mem, or a remote store base URL")
+	storeBackend := flag.String("store-backend", "disk", "result store backend: disk or mem")
 	maxJobs := flag.Int("max-jobs", 0, "job records retained before the oldest finished jobs are pruned (0 = default 1024)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "how long a shutdown waits for in-flight chunks to checkpoint")
 	requestTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request handler deadline (event streams are exempt)")
@@ -126,10 +124,8 @@ func main() {
 		// nil Backend: the manager opens the disk store under -state.
 	case *storeBackend == "mem":
 		opts.Backend = store.NewMem()
-	case strings.HasPrefix(*storeBackend, "http://"), strings.HasPrefix(*storeBackend, "https://"):
-		opts.Backend = remotestore.New(*storeBackend)
 	default:
-		logger.Fatalf("unknown -store-backend %q (want disk, mem, or an http(s) URL)", *storeBackend)
+		logger.Fatalf("unknown -store-backend %q (want disk or mem)", *storeBackend)
 	}
 	var coord *fleet.Coordinator
 	if *fleetMode {

@@ -32,8 +32,9 @@ import (
 
 // ErrEarlyStop is the cancellation cause an earlyStopSink arms when its
 // stop rule fires: the cell is complete at its chunk-aligned stop point,
-// not aborted. RunPlanCell translates it back into a nil error with the
-// info/summary rescaled to the strikes actually consumed.
+// not aborted. The per-cell executor (cellRun) translates it back into a
+// nil error with the info/summary rescaled to the strikes actually
+// consumed.
 var ErrEarlyStop = errors.New("campaign: confidence target reached")
 
 // Default adaptive parameters.
@@ -201,9 +202,9 @@ func (s *earlyStopSink) mark(epoch, alloc, consumed int) logdata.EpochMark {
 }
 
 // EpochRecorder is implemented by sinks that persist #EPOCH budget
-// records (CheckpointSink). The adaptive paths scan a cell's extra sinks
-// for it, so whatever checkpoint log the caller attached receives the
-// stop record next to its #CHK lines.
+// records (CheckpointSink). An adaptive step scans all of a cell's sinks
+// for it — its own checkpoint log and the caller's extra sinks — so
+// every attached log receives the stop record next to its #CHK lines.
 type EpochRecorder interface {
 	RecordEpoch(m logdata.EpochMark) error
 }
@@ -250,22 +251,21 @@ var _ Runner = (*AdaptiveRunner)(nil)
 
 // adaptiveCellState is one cell's long-lived state across epochs.
 type adaptiveCellState struct {
-	acc  *SummaryAccumulator
-	chk  *CheckpointSink
+	run  *cellRun
 	logw io.WriteCloser
-	es   earlyStopSink
-	info StreamInfo
 
-	budget   int // current strike allocation
-	consumed int // chunk-aligned strikes executed so far
-	started  bool
-	failed   bool
+	budget  int // current strike allocation
+	started bool
+	failed  bool
 }
 
 // open reports the cell still wants strikes: neither stopped nor failed.
 func (st *adaptiveCellState) open() bool {
-	return !st.failed && !st.es.stopped
+	return !st.failed && !st.run.es.stopped
 }
+
+// consumed is the chunk-aligned strike count executed so far.
+func (st *adaptiveCellState) consumed() int { return st.run.acc.Consumed() }
 
 // Run implements Runner.
 func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
@@ -283,11 +283,8 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 
 	states := make([]*adaptiveCellState, len(cells))
 	for i := range cells {
-		st := &adaptiveCellState{
-			acc:    NewSummaryAccumulator(res.Thresholds),
-			budget: baseCfg.Strikes,
-		}
-		st.es.rule = rule
+		run, _ := newCellRun(baseCfg, res.Thresholds)
+		st := &adaptiveCellState{run: run, budget: baseCfg.Strikes}
 		states[i] = st
 		if r.Logs == nil {
 			continue
@@ -305,7 +302,7 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 			continue
 		}
 		st.logw = w
-		if st.chk, err = NewCheckpointSink(w, info, baseCfg.Seed); err != nil {
+		if run.chk, err = NewCheckpointSink(w, info, baseCfg.Seed); err != nil {
 			st.failed = true
 			res.Cells[i].Err = cellError(cells[i].Dev, cells[i].Kern, err)
 		}
@@ -315,7 +312,7 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 	for epoch := 1; epoch <= maxEpochs; epoch++ {
 		for i, cell := range cells {
 			st := states[i]
-			if st.failed || !st.open() || st.consumed >= st.budget {
+			if !st.open() || st.consumed() >= st.budget {
 				continue
 			}
 			if cerr := ctx.Err(); cerr != nil {
@@ -323,40 +320,23 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 			}
 			cfg := baseCfg
 			cfg.Strikes = st.budget
-			alloc := st.budget
-
-			runCtx, cancel := context.WithCancelCause(ctx)
-			st.es.cancel = cancel
-			sinks := make([]Sink, 0, 4)
-			sinks = append(sinks, st.acc)
+			var extra []Sink
 			if r.Progress.OnChunk != nil {
-				sinks = append(sinks, &chunkRelay{cell: i, fn: r.Progress.OnChunk})
+				extra = append(extra, &chunkRelay{cell: i, fn: r.Progress.OnChunk})
 			}
-			if st.chk != nil {
-				sinks = append(sinks, st.chk)
-			}
-			sinks = append(sinks, &st.es)
-			info, err := RunStreamingFromCtx(runCtx, cell.Dev, cell.Kern, cfg, st.consumed, sinks...)
-			cancel(nil)
-			st.es.cancel = nil
-			if err != nil && !(st.es.stopped && ctx.Err() == nil) {
+			if err := st.run.advance(ctx, cell, cfg, st.consumed(), epoch, extra); err != nil {
 				if isCancellation(err) {
-					st.info, st.started = info, true
-					st.consumed = st.acc.Consumed()
+					st.started = true
 					return r.finishCancelled(res, states, ctx.Err())
 				}
 				st.failed = true
 				res.Cells[i].Err = err
 				continue
 			}
-			st.info, st.started = info, true
-			st.consumed = st.acc.Consumed()
-			if st.es.stopped {
-				pool += st.budget - st.consumed
-				st.budget = st.consumed
-			}
-			if st.chk != nil {
-				_ = st.chk.RecordEpoch(st.es.mark(epoch, alloc, st.consumed))
+			st.started = true
+			if st.run.es.stopped {
+				pool += st.budget - st.consumed()
+				st.budget = st.consumed()
 			}
 		}
 
@@ -376,8 +356,8 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 		// ranking.
 		sort.SliceStable(open, func(a, b int) bool {
 			sa, sb := states[open[a]], states[open[b]]
-			ha := rule.HalfWidthAt(sa.es.sdc, sa.consumed)
-			hb := rule.HalfWidthAt(sb.es.sdc, sb.consumed)
+			ha := rule.HalfWidthAt(sa.run.es.sdc, sa.consumed())
+			hb := rule.HalfWidthAt(sb.run.es.sdc, sb.consumed())
 			if ha != hb {
 				return ha > hb
 			}
@@ -403,15 +383,9 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 			if out.Err == nil && !st.started {
 				out.Err = fmt.Errorf("campaign: cell %d never ran", i)
 			}
-			r.closeCell(st, out)
-			if r.Progress.OnCell != nil {
-				r.Progress.OnCell(i, out)
-			}
-			continue
+		} else {
+			out.Info, out.Summary, _ = st.run.result(nil)
 		}
-		info := prefixInfo(st.info, st.consumed)
-		out.Info = info
-		out.Summary = st.acc.Summary(info)
 		r.closeCell(st, out)
 		if r.Progress.OnCell != nil {
 			r.Progress.OnCell(i, out)
@@ -422,11 +396,11 @@ func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) 
 
 // closeCell seals a cell's checkpoint log (trailer + file handle).
 func (r *AdaptiveRunner) closeCell(st *adaptiveCellState, out *CellOutcome) {
-	if st.chk != nil {
-		if err := st.chk.Close(); err != nil && out.Err == nil {
+	if st.run.chk != nil {
+		if err := st.run.chk.Close(); err != nil && out.Err == nil {
 			out.Err = err
 		}
-		st.chk = nil
+		st.run.chk = nil
 	}
 	if st.logw != nil {
 		if err := st.logw.Close(); err != nil && out.Err == nil {
@@ -445,10 +419,8 @@ func (r *AdaptiveRunner) finishCancelled(res *PlanResult, states []*adaptiveCell
 	for i, st := range states {
 		out := res.Cells[i]
 		if st.started {
-			info := prefixInfo(st.info, st.consumed)
-			out.Info = info
-			out.Summary = st.acc.Summary(info)
-			if !st.es.stopped {
+			out.Info, out.Summary, _ = st.run.result(nil)
+			if !st.run.es.stopped {
 				out.Err = cerr
 			}
 		} else if out.Err == nil {

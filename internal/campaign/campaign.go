@@ -130,7 +130,7 @@ func Run(dev arch.Device, kern kernels.Kernel, cfg Config) *Result {
 	return res
 }
 
-// RunCtx executes one experiment cell under a context: one RunStreaming
+// RunCtx executes one experiment cell under a context: one streaming
 // pass with the retaining resultSink, which clones every SDC report and
 // rebuilds the full *Result. Nothing is cached — every call runs the
 // strike loop. The streaming engine consumes outcomes in strike-index
@@ -141,7 +141,7 @@ func Run(dev arch.Device, kern kernels.Kernel, cfg Config) *Result {
 // chunk boundary.
 func RunCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, cfg Config) (*Result, error) {
 	sink := newResultSink()
-	info, err := RunStreamingCtx(ctx, dev, kern, cfg, sink)
+	info, err := RunStreamingFromCtx(ctx, dev, kern, cfg, 0, sink)
 	if err != nil {
 		return nil, err
 	}

@@ -130,7 +130,7 @@ func TestStreamRunnerCancellation(t *testing.T) {
 	// diluted by the cancelled tail.
 	full := NewTallyReducer()
 	counts := NewSDCCountReducer(out.Summary.Thresholds...)
-	refInfo, err := RunStreamingFrom(mustDev(t, "k40"), mustKern(t, "dgemm:128"),
+	refInfo, err := RunStreamingFromCtx(context.Background(), mustDev(t, "k40"), mustKern(t, "dgemm:128"),
 		Config{Seed: 7, Strikes: cancelAt, BaseExecSeconds: 1.0, Facility: plan.Config().Facility, StreamChunk: 100},
 		0, full, counts)
 	if err != nil {

@@ -1,23 +1,23 @@
 package campaign
 
-// This file is the serving-layer surface: the per-cell execution
-// primitives a long-lived campaign service composes — summary
-// accumulation as a Sink, one-cell execution with attachable sinks, and
-// checkpointed resume. StreamRunner and RecoverLog are thin arrangements
-// of the same primitives, so a daemon that interleaves caching and
-// checkpointing still runs the exact engine path the in-process runners
-// are pinned against.
+// This file is the serving-layer surface: summary accumulation as a
+// Sink and the one per-cell executor, cellRun — a summary accumulator,
+// an optional checkpoint log and an optional stop rule, advanced through
+// the engine from any strike index. A fresh logged cell is a resume of an
+// empty log, so RunPlanCell (no log), ResumePlanCell (a log, possibly
+// empty), RecoverLog and every AdaptiveRunner epoch share one checkpoint
+// and early-stop path, and a daemon that interleaves caching and
+// checkpointing runs the exact engine path the in-process runners are
+// pinned against.
 
 import (
 	"context"
 	"fmt"
 	"io"
 
-	"radcrit/internal/arch"
 	"radcrit/internal/fault"
 	"radcrit/internal/grid"
 	"radcrit/internal/injector"
-	"radcrit/internal/kernels"
 	"radcrit/internal/logdata"
 	"radcrit/internal/metrics"
 )
@@ -112,72 +112,112 @@ func (a *SummaryAccumulator) Summary(info StreamInfo) *Summary {
 // sinks. Callers distinguish "stopped early" from "ran the budget" by
 // Info.Strikes, never by the error.
 func RunPlanCell(ctx context.Context, cell Cell, cfg Config, thresholds []float64, extra ...Sink) (StreamInfo, *Summary, error) {
-	cfg, rule, adaptive := adaptiveConfig(cfg)
-	acc := NewSummaryAccumulator(thresholds)
-	sinks := make([]Sink, 0, len(extra)+2)
-	sinks = append(sinks, acc)
-	sinks = append(sinks, extra...)
-	runCtx := ctx
-	var es *earlyStopSink
-	if adaptive {
-		var cancel context.CancelCauseFunc
-		runCtx, cancel = context.WithCancelCause(ctx)
-		defer cancel(nil)
-		es = &earlyStopSink{rule: rule, cancel: cancel}
-		sinks = append(sinks, es) // last: checkpoints flush before the stop
-	}
-	info, err := RunStreamingCtx(runCtx, cell.Dev, cell.Kern, cfg, sinks...)
-	if adaptive && es.stopped && ctx.Err() == nil {
-		// The stop rule cancelled, not the caller: the cell is complete at
-		// its chunk-aligned stop point.
-		err = nil
-	}
-	if err != nil {
-		if isCancellation(err) {
-			info = prefixInfo(info, acc.Consumed())
-			return info, acc.Summary(info), err
-		}
-		return info, nil, err
-	}
-	if adaptive {
-		recordEpoch(sinks, es.mark(1, cfg.Strikes, acc.Consumed()))
-		info = prefixInfo(info, acc.Consumed())
-	}
-	return info, acc.Summary(info), nil
+	r, cfg := newCellRun(cfg, thresholds)
+	return r.result(r.advance(ctx, cell, cfg, 0, 1, extra))
 }
 
-// ResumePlanCell completes a cell whose previous execution was
-// interrupted after writing the (possibly truncated) checkpoint log in
-// truncated: the salvaged prefix — everything up to the last complete
-// #CHK record — is replayed into the summary and into a fresh checkpoint
-// log at w, and only the uncovered tail re-runs. The final summary is
-// bit-identical to an uninterrupted run's (per-index RNG splits reproduce
-// the tail; hex-float logging reproduces the prefix), and the log written
-// to w is event-for-event what an uninterrupted run would have written —
-// so a resume interrupted again stays resumable, indefinitely.
+// ResumePlanCell runs a cell under the checkpoint log at w, resuming from
+// whatever log a previous execution left in truncated — possibly none.
+// The salvaged prefix (everything up to the last complete #CHK record)
+// is replayed into the summary and into the new log, and only the
+// uncovered tail runs. The final summary is bit-identical to an
+// uninterrupted run's (per-index RNG splits reproduce the tail; hex-float
+// logging reproduces the prefix), and the log written to w is
+// event-for-event what an uninterrupted run would have written — so a
+// resume interrupted again stays resumable, indefinitely. An empty
+// truncated log is a fresh run: w then receives exactly the bytes of a
+// RunPlanCell run feeding a CheckpointSink.
 //
-// The log must describe this cell and seed; a mismatch is an error rather
+// The extra sinks observe the outcome stream after the accumulator and
+// the checkpoint log, so a chunk they see flushed is already in w. The
+// log must describe this cell and seed; a mismatch is an error rather
 // than a silently wrong summary. On cancellation mid-tail the returned
 // info/summary cover the consumed prefix (like RunPlanCell) and w holds a
 // resumable log without its #END trailer.
 func ResumePlanCell(ctx context.Context, truncated io.Reader, w io.Writer, cell Cell, cfg Config, thresholds []float64, extra ...Sink) (StreamInfo, *Summary, error) {
-	acc := NewSummaryAccumulator(thresholds)
-	info, err := resumeStreaming(ctx, w, truncated, cell.Dev, cell.Kern, cfg, acc, extra)
-	if err != nil {
-		if isCancellation(err) {
-			info = prefixInfo(info, acc.Consumed())
-			return info, acc.Summary(info), err
-		}
-		return info, nil, err
-	}
-	return info, acc.Summary(info), nil
+	r, cfg := newCellRun(cfg, thresholds)
+	return r.result(r.resume(ctx, truncated, w, cell, cfg, extra))
 }
 
-// resumeStreaming is the shared core of RecoverLog and ResumePlanCell:
-// salvage the truncated log, validate it describes (dev, kern, cfg),
-// replay the prefix into a fresh checkpoint log at w (and into acc, when
-// summarising), then re-run the uncovered tail with acc, the extra sinks
-// and the new checkpoint log attached. The #END trailer is written only
+// cellRun is the one per-cell execution primitive: a summary
+// accumulator, an optional checkpoint log and an optional stop rule,
+// advanced through the engine from any strike index. RunPlanCell,
+// ResumePlanCell (and RecoverLog through it) and every AdaptiveRunner
+// epoch are arrangements of it, so the early-stop wiring exists once.
+type cellRun struct {
+	acc  *SummaryAccumulator
+	chk  *CheckpointSink // nil: no log
+	es   *earlyStopSink  // nil: fixed budget
+	info StreamInfo      // the cell's metadata at its current budget
+}
+
+// newCellRun prepares a run summarising under thresholds, with the stop
+// rule armed when cfg is adaptive. It returns cfg resolved by
+// adaptiveConfig, the form advance runs under.
+func newCellRun(cfg Config, thresholds []float64) (*cellRun, Config) {
+	cfg, rule, adaptive := adaptiveConfig(cfg)
+	r := &cellRun{acc: NewSummaryAccumulator(thresholds)}
+	if adaptive {
+		r.es = &earlyStopSink{rule: rule}
+	}
+	return r, cfg
+}
+
+// advance runs strikes [from, cfg.Strikes) into the accumulator, the
+// checkpoint log, the extra sinks and, last, the stop rule — last so that
+// every checkpoint has flushed before a stop is requested. A
+// rule-triggered stop is a completion: advance returns nil with the stop
+// point in acc.Consumed(). An adaptive step ends with an #EPOCH mark for
+// epoch in every EpochRecorder among the sinks; a rule that already
+// fired (at a resumed log's salvage point) runs nothing but still marks.
+func (r *cellRun) advance(ctx context.Context, cell Cell, cfg Config, from, epoch int, extra []Sink) error {
+	sinks := make([]Sink, 0, len(extra)+3)
+	sinks = append(sinks, r.acc)
+	if r.chk != nil {
+		sinks = append(sinks, r.chk)
+	}
+	sinks = append(sinks, extra...)
+	if r.es == nil || !r.es.stopped {
+		runCtx, run := ctx, sinks
+		if r.es != nil {
+			var cancel context.CancelCauseFunc
+			runCtx, cancel = context.WithCancelCause(ctx)
+			defer cancel(nil)
+			r.es.cancel = cancel
+			run = append(run, r.es)
+		}
+		info, err := RunStreamingFromCtx(runCtx, cell.Dev, cell.Kern, cfg, from, run...)
+		r.info = info
+		// The stop rule cancelled, not the caller: the cell is complete
+		// at its chunk-aligned stop point.
+		if err != nil && !(r.es != nil && r.es.stopped && ctx.Err() == nil) {
+			return err
+		}
+	}
+	if r.es != nil {
+		recordEpoch(sinks, r.es.mark(epoch, cfg.Strikes, r.acc.Consumed()))
+	}
+	return nil
+}
+
+// result renders the run after a step that returned err. A cancelled or
+// adaptive run's info is rescaled to the strikes actually consumed, so
+// its rates are true over the executed prefix; any error other than
+// cancellation yields no summary.
+func (r *cellRun) result(err error) (StreamInfo, *Summary, error) {
+	info := r.info
+	if err != nil && !isCancellation(err) {
+		return info, nil, err
+	}
+	if err != nil || r.es != nil {
+		info = prefixInfo(info, r.acc.Consumed())
+	}
+	return info, r.acc.Summary(info), err
+}
+
+// resume salvages the truncated log, validates it describes (cell, cfg),
+// replays the prefix into the run and into a new checkpoint log at w,
+// then advances from the salvage point. The #END trailer is written only
 // on full completion, so an interrupted resume leaves w resumable.
 // Under an adaptive cfg the salvaged prefix is re-judged exactly as the
 // original run judged it: the replayed events seed the stop rule's SDC
@@ -185,19 +225,18 @@ func ResumePlanCell(ctx context.Context, truncated io.Reader, w io.Writer, cell 
 // (the parsers' count-consistency checks demand it), the salvage point
 // itself is evaluated as a look — a run whose stop decision was made but
 // whose log tore before recording it stops again without re-running
-// anything — and the re-run tail evaluates live at every boundary. The
+// anything — and the tail evaluates live at every boundary. The
 // decisions are pure functions of (SDC, trials), so the resumed cell
 // stops where the uninterrupted one did.
-func resumeStreaming(ctx context.Context, w io.Writer, truncated io.Reader, dev arch.Device, kern kernels.Kernel, cfg Config, acc *SummaryAccumulator, extra []Sink) (StreamInfo, error) {
-	cfg, rule, adaptive := adaptiveConfig(cfg)
+func (r *cellRun) resume(ctx context.Context, truncated io.Reader, w io.Writer, cell Cell, cfg Config, extra []Sink) error {
 	res, err := logdata.ParseResume(truncated)
 	if err != nil {
-		return StreamInfo{}, err
+		return err
 	}
-	info, err := CellInfo(dev, kern, cfg)
-	if err != nil {
-		return StreamInfo{}, err
+	if r.info, err = CellInfo(cell.Dev, cell.Kern, cfg); err != nil {
+		return err
 	}
+	info := r.info
 	// Header fields are serialised space-escaped and the escaping is lossy
 	// (logdata.HeaderField), so the live metadata is escaped before the
 	// comparison — the parsed side cannot be unescaped.
@@ -205,25 +244,18 @@ func resumeStreaming(ctx context.Context, w io.Writer, truncated io.Reader, dev 
 		(res.Log.Device != logdata.HeaderField(info.Device) ||
 			res.Log.Kernel != logdata.HeaderField(info.Kernel) ||
 			res.Log.Input != logdata.HeaderField(info.Input)) {
-		return info, fmt.Errorf("campaign: log describes %s/%s/%s, not %s/%s/%s",
+		return fmt.Errorf("campaign: log describes %s/%s/%s, not %s/%s/%s",
 			res.Log.Device, res.Log.Kernel, res.Log.Input, info.Device, info.Kernel, info.Input)
 	}
 	if res.Log.Device != "" && res.Log.Seed != cfg.Seed {
-		return info, fmt.Errorf("campaign: log was written under seed %d, not %d — the tail would not match",
+		return fmt.Errorf("campaign: log was written under seed %d, not %d — the tail would not match",
 			res.Log.Seed, cfg.Seed)
 	}
-	sink, err := NewCheckpointSink(w, info, cfg.Seed)
-	if err != nil {
-		return info, err
+	if r.chk, err = NewCheckpointSink(w, info, cfg.Seed); err != nil {
+		return err
 	}
-	var es *earlyStopSink
-	if adaptive {
-		es = &earlyStopSink{rule: rule}
-	}
-	sink.sw.AddMasked(res.Masked)
-	if acc != nil {
-		acc.AddMasked(res.Masked)
-	}
+	r.chk.sw.AddMasked(res.Masked)
+	r.acc.AddMasked(res.Masked)
 	// Replay events with the salvaged epoch marks interleaved where they
 	// originally stood: a mark at consumed c precedes the first event at
 	// strike index >= c, so every re-emitted #EPOCH still agrees with the
@@ -232,87 +264,47 @@ func resumeStreaming(ctx context.Context, w io.Writer, truncated io.Reader, dev 
 	marks := res.Log.Epochs
 	for _, ev := range res.Log.Events {
 		for len(marks) > 0 && marks[0].Consumed <= ev.Exec {
-			if err := sink.RecordEpoch(marks[0]); err != nil {
-				return info, err
+			if err := r.chk.RecordEpoch(marks[0]); err != nil {
+				return err
 			}
 			marks = marks[1:]
 		}
-		if err := sink.sw.WriteEvent(ev); err != nil {
-			return info, err
+		if err := r.chk.sw.WriteEvent(ev); err != nil {
+			return err
 		}
-		if acc != nil {
-			acc.ReplayEvent(ev, info.Profile.OutputDims)
-		}
-		if es != nil {
-			es.seed(ev)
+		r.acc.ReplayEvent(ev, info.Profile.OutputDims)
+		if r.es != nil {
+			r.es.seed(ev)
 		}
 	}
 	for _, m := range marks {
-		if err := sink.RecordEpoch(m); err != nil {
-			return info, err
+		if err := r.chk.RecordEpoch(m); err != nil {
+			return err
 		}
-	}
-	epoch := 1
-	if n := len(res.Log.Epochs); n > 0 {
-		epoch = res.Log.Epochs[n-1].Epoch + 1
 	}
 	if !res.Complete {
-		// Flush a checkpoint covering the replayed prefix before any tail
-		// strike runs: the new log is now durable to at least the point
-		// the old one reached, so an interruption during the tail — or
-		// even before its first chunk — can never lose salvaged progress.
-		if err := sink.sw.Checkpoint(res.Next); err != nil {
-			return info, err
-		}
-		if es != nil {
-			// The salvage point is a look: a prefix that already satisfies
-			// the rule stops here, re-running nothing.
-			es.evaluate(res.Next)
-		}
-		if es == nil || !es.stopped {
-			runCtx := ctx
-			if es != nil {
-				var cancel context.CancelCauseFunc
-				runCtx, cancel = context.WithCancelCause(ctx)
-				defer cancel(nil)
-				es.cancel = cancel
+		if res.Next > 0 {
+			// Flush a checkpoint covering the replayed prefix before any
+			// tail strike runs: the new log is now durable to at least the
+			// point the old one reached, so an interruption during the
+			// tail — or even before its first chunk — can never lose
+			// salvaged progress.
+			if err := r.chk.sw.Checkpoint(res.Next); err != nil {
+				return err
 			}
-			sinks := make([]Sink, 0, len(extra)+3)
-			if acc != nil {
-				sinks = append(sinks, acc)
-			}
-			sinks = append(sinks, extra...)
-			sinks = append(sinks, sink)
-			if es != nil {
-				sinks = append(sinks, es) // last: checkpoints flush first
-			}
-			if _, err := RunStreamingFromCtx(runCtx, dev, kern, cfg, res.Next, sinks...); err != nil {
-				if !(es != nil && es.stopped && ctx.Err() == nil) {
-					return info, err
-				}
+			if r.es != nil {
+				// The salvage point is a look: a prefix that already
+				// satisfies the rule stops here, re-running nothing.
+				r.es.evaluate(res.Next)
 			}
 		}
-		if es != nil {
-			consumed := cfg.Strikes
-			if es.stopped {
-				consumed = es.stopAt
-			}
-			if err := sink.RecordEpoch(es.mark(epoch, cfg.Strikes, consumed)); err != nil {
-				return info, err
-			}
+		epoch := 1
+		if n := len(res.Log.Epochs); n > 0 {
+			epoch = res.Log.Epochs[n-1].Epoch + 1
+		}
+		if err := r.advance(ctx, cell, cfg, res.Next, epoch, extra); err != nil {
+			return err
 		}
 	}
-	if adaptive {
-		// Rescale to the strikes the cell actually holds, so the caller's
-		// summary rates are true over the executed prefix: a complete log
-		// carries its own total; an early-stopped tail its stop point.
-		consumed := cfg.Strikes
-		if res.Complete {
-			consumed = res.Masked + len(res.Log.Events)
-		} else if es.stopped {
-			consumed = es.stopAt
-		}
-		info = prefixInfo(info, consumed)
-	}
-	return info, sink.Close()
+	return r.chk.Close()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -220,5 +221,84 @@ func TestResumeSurvivesImmediateInterruption(t *testing.T) {
 	}
 	if after.Masked != before.Masked {
 		t.Errorf("rewritten log masked count %d, want %d", after.Masked, before.Masked)
+	}
+}
+
+// requireSameInfo compares two StreamInfos field by field, the exposure's
+// floats by bit pattern.
+func requireSameInfo(t *testing.T, label string, got, want StreamInfo) {
+	t.Helper()
+	if got.Device != want.Device || got.Kernel != want.Kernel || got.Input != want.Input || got.Strikes != want.Strikes {
+		t.Errorf("%s: info identity differs: %s/%s/%s %d strikes vs %s/%s/%s %d strikes", label,
+			got.Device, got.Kernel, got.Input, got.Strikes, want.Device, want.Kernel, want.Input, want.Strikes)
+	}
+	if g, w := fmt.Sprintf("%#v", got.Profile), fmt.Sprintf("%#v", want.Profile); g != w {
+		t.Errorf("%s: profile differs:\n%s\nvs\n%s", label, g, w)
+	}
+	ge, we := got.Exposure, want.Exposure
+	if ge.Facility != we.Facility || ge.Board != we.Board {
+		t.Errorf("%s: exposure facility/board differ", label)
+	}
+	for _, f := range [][2]float64{
+		{ge.BeamHours, we.BeamHours}, {ge.ExecSeconds, we.ExecSeconds}, {ge.SensitiveArea, we.SensitiveArea},
+	} {
+		if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+			t.Errorf("%s: exposure value differs: %v vs %v", label, f[0], f[1])
+		}
+	}
+}
+
+// TestFreshRunIsEmptyResume pins that a fresh logged cell is a resume of
+// an empty log: for every adaptiveGoldenPlan cell, with and without its
+// early-stopping spec, ResumePlanCell over an empty reader writes the
+// same log bytes, and returns the same info and summary bits, as
+// RunPlanCell feeding a checkpoint sink.
+func TestFreshRunIsEmptyResume(t *testing.T) {
+	plan := adaptiveGoldenPlan()
+	cells, err := plan.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := plan.EffectiveThresholds()
+	fixed := plan.Config()
+	fixed.Adaptive = nil
+	// The fixed-budget logs checkpoint at the same spacing as the
+	// adaptive ones, so they carry several #CHK records too.
+	fixed.StreamChunk = plan.Adaptive.CheckEvery
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{{"fixed", fixed}, {"adaptive", plan.Config()}} {
+		for i, cell := range cells {
+			label := fmt.Sprintf("%s cell %d", mode.name, i)
+			info, err := CellInfo(cell.Dev, cell.Kern, mode.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fresh bytes.Buffer
+			chk, err := NewCheckpointSink(&fresh, info, mode.cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fInfo, fSum, err := RunPlanCell(context.Background(), cell, mode.cfg, ts, chk)
+			if err != nil {
+				t.Fatalf("%s: RunPlanCell: %v", label, err)
+			}
+			if err := chk.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			var resumed bytes.Buffer
+			rInfo, rSum, err := ResumePlanCell(context.Background(), bytes.NewReader(nil), &resumed, cell, mode.cfg, ts)
+			if err != nil {
+				t.Fatalf("%s: ResumePlanCell: %v", label, err)
+			}
+			if !bytes.Equal(resumed.Bytes(), fresh.Bytes()) {
+				t.Errorf("%s: empty-log resume wrote a different log than the fresh run (%d vs %d bytes)",
+					label, resumed.Len(), fresh.Len())
+			}
+			requireSameInfo(t, label, rInfo, fInfo)
+			requireSameSummary(t, label, rSum, fSum)
+		}
 	}
 }

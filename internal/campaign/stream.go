@@ -107,23 +107,12 @@ func RunStreaming(dev arch.Device, kern kernels.Kernel, cfg Config, sinks ...Sin
 	return RunStreamingFromCtx(context.Background(), dev, kern, cfg, 0, sinks...)
 }
 
-// RunStreamingCtx is RunStreaming under a context: cancellation is
-// honoured at chunk boundaries (see RunStreamingFromCtx).
-func RunStreamingCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
-	return RunStreamingFromCtx(ctx, dev, kern, cfg, 0, sinks...)
-}
-
-// RunStreamingFrom is RunStreaming restarted at strike index start: it
-// executes indices [start, cfg.Strikes). Because every strike derives its
-// randomness from an independent per-index RNG split, the tail produced
-// here is bit-identical to the same indices of a full run — the foundation
-// of checkpoint/resume (a crashed campaign re-runs only the strikes after
-// its last flushed checkpoint).
-func RunStreamingFrom(dev arch.Device, kern kernels.Kernel, cfg Config, start int, sinks ...Sink) (StreamInfo, error) {
-	return RunStreamingFromCtx(context.Background(), dev, kern, cfg, start, sinks...)
-}
-
-// RunStreamingFromCtx is RunStreamingFrom under a context. Cancellation is
+// RunStreamingFromCtx is RunStreaming restarted at strike index start,
+// under a context: it executes indices [start, cfg.Strikes). Because every
+// strike derives its randomness from an independent per-index RNG split,
+// the tail produced here is bit-identical to the same indices of a full
+// run — the foundation of checkpoint/resume (a crashed campaign re-runs
+// only the strikes after its last flushed checkpoint). Cancellation is
 // graceful and chunk-aligned: a chunk whose execution was interrupted is
 // discarded whole, so the sinks always observe a chunk-aligned prefix of
 // the deterministic outcome stream — partial reducer state remains
@@ -548,8 +537,8 @@ func (c *CheckpointSink) Close() error { return c.sw.Close() }
 // checkpoint does not cover, and closes the log. The recovered log is
 // event-for-event identical to one written by an uninterrupted run —
 // checkpoint/resume's determinism contract (DESIGN.md §6). It is
-// resumeStreaming (serve.go) without a summary: log in, log out.
+// ResumePlanCell with the summary dropped: log in, log out.
 func RecoverLog(w io.Writer, truncated io.Reader, dev arch.Device, kern kernels.Kernel, cfg Config) error {
-	_, err := resumeStreaming(context.Background(), w, truncated, dev, kern, cfg, nil, nil)
+	_, _, err := ResumePlanCell(context.Background(), truncated, w, Cell{Dev: dev, Kern: kern}, cfg, nil)
 	return err
 }

@@ -265,13 +265,10 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 	w.complete(ctx, item, req)
 }
 
-// executeCell runs or resumes the leased cell. Sink order matters: on
-// the fresh path the CheckpointSink precedes the tracker, so a snapshot
-// never claims strikes its log does not cover. (On the resume path the
-// engine's internal checkpoint sink flushes last; a snapshot there may
-// lead log coverage by at most one chunk, which only ever costs a
-// requeued lease one extra chunk of re-execution — never correctness,
-// which rests on the log alone.)
+// executeCell runs the leased cell under the checkpoint log in buf,
+// resuming from the lease's log — possibly empty, which is a fresh run.
+// Sink order matters: the engine's checkpoint sink flushes ahead of the
+// tracker, so a snapshot never claims strikes its log does not cover.
 func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer, tracker *chunkTracker) (campaign.StreamInfo, *campaign.Summary, error) {
 	cfg, err := item.Cfg.EngineConfig()
 	if err != nil {
@@ -285,22 +282,7 @@ func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer
 	if w.opts.Metrics != nil {
 		sinks = append(sinks, w.opts.Metrics.Sink(item.Spec.Kernel, item.Spec.Device))
 	}
-	if len(item.Log) > 0 {
-		return campaign.ResumePlanCell(ctx, bytes.NewReader(item.Log), buf, cell, cfg, item.Cfg.Thresholds, sinks...)
-	}
-	info, err := campaign.CellInfo(cell.Dev, cell.Kern, cfg)
-	if err != nil {
-		return campaign.StreamInfo{}, nil, err
-	}
-	chk, err := campaign.NewCheckpointSink(buf, info, cfg.Seed)
-	if err != nil {
-		return campaign.StreamInfo{}, nil, err
-	}
-	info, sum, err := campaign.RunPlanCell(ctx, cell, cfg, item.Cfg.Thresholds, append(sinks, chk)...)
-	if err != nil {
-		return info, sum, err
-	}
-	return info, sum, chk.Close()
+	return campaign.ResumePlanCell(ctx, bytes.NewReader(item.Log), buf, cell, cfg, item.Cfg.Thresholds, sinks...)
 }
 
 // complete reports the cell's outcome, retrying transient transport

@@ -1224,12 +1224,12 @@ func (m *Manager) setCellState(j *Job, i int, cs CellStatus, emit bool) {
 // runCell produces one cell's outcome: from the job's own durable record
 // (a previous incarnation finished it), from the content-addressed store
 // (any job anywhere computed an identical cell), remotely through the
-// fleet (when Options.Remote is set and has healthy workers), by resuming
-// a checkpoint log (a previous incarnation — local or remote — was
-// interrupted mid-cell), or by running it fresh under a new checkpoint
-// log. Local engine work is serialised through localMu so sharded
-// dispatch never oversubscribes the host. Only cancellation is returned
-// as an error; cell failures are recorded in the outcome.
+// fleet (when Options.Remote is set and has healthy workers), or locally
+// under its checkpoint log, resuming whatever prefix a previous
+// incarnation — local or remote — left there (none is a fresh run).
+// Local engine work is serialised through localMu so sharded dispatch
+// never oversubscribes the host. Only cancellation is returned as an
+// error; cell failures are recorded in the outcome.
 func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (campaign.Cell, error), localMu *sync.Mutex, cfg campaign.Config, ts []float64) (CellResult, error) {
 	spec := j.Plan.Cells[i]
 	total := cfg.Strikes
@@ -1319,20 +1319,8 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (c
 			runErr = cerr // construction failure: recorded as the cell's error
 		} else {
 			localMu.Lock()
-			if prev, err := os.ReadFile(logPath); err == nil && len(prev) > 0 {
-				resumed = true
-				info, sum, runErr = m.resumeCell(jctx, prev, logPath, cell, cfg, ts, sinks)
-				if runErr != nil && !isCancellation(runErr) {
-					// The log could not be resumed (damaged beyond salvage, or it
-					// describes something else): discard it and run fresh rather
-					// than wedging the job forever.
-					_ = os.Remove(logPath)
-					resumed = false
-					info, sum, runErr = m.freshCell(jctx, logPath, cell, cfg, ts, sinks)
-				}
-			} else {
-				info, sum, runErr = m.freshCell(jctx, logPath, cell, cfg, ts, sinks)
-			}
+			prev, _ := os.ReadFile(logPath)
+			info, sum, resumed, runErr = runLogged(jctx, logPath, prev, cell, cfg, ts, sinks)
 			localMu.Unlock()
 		}
 	}
@@ -1392,53 +1380,41 @@ func cellStatusOf(cr *CellResult, total int) CellStatus {
 	return cs
 }
 
-// freshCell runs a cell from strike zero under a new checkpoint log.
-func (m *Manager) freshCell(jctx context.Context, logPath string, cell campaign.Cell, cfg campaign.Config, ts []float64, sinks []campaign.Sink) (campaign.StreamInfo, *campaign.Summary, error) {
-	info, err := campaign.CellInfo(cell.Dev, cell.Kern, cfg)
+// runLogged runs a cell under its checkpoint log at logPath, resuming
+// from prev, the log a previous incarnation left there — possibly none —
+// and reports whether it resumed. Without a previous log the new one is
+// written in place, where every flushed chunk survives a crash; with one
+// it is written beside it and renamed over it, so the old log stays
+// intact until the rewrite supersedes it. A log that cannot be resumed
+// (damaged beyond salvage, or describing something else) is discarded
+// and the cell rerun from scratch rather than wedging the job forever.
+func runLogged(jctx context.Context, logPath string, prev []byte, cell campaign.Cell, cfg campaign.Config, ts []float64, sinks []campaign.Sink) (campaign.StreamInfo, *campaign.Summary, bool, error) {
+	resumed := len(prev) > 0
+	out := logPath
+	if resumed {
+		out = logPath + ".resume"
+	}
+	f, err := os.Create(out)
 	if err != nil {
-		return campaign.StreamInfo{}, nil, err
+		return campaign.StreamInfo{}, nil, resumed, fmt.Errorf("service: checkpoint log: %w", err)
 	}
-	f, err := os.Create(logPath)
-	if err != nil {
-		return info, nil, fmt.Errorf("service: checkpoint log: %w", err)
-	}
-	chk, err := campaign.NewCheckpointSink(f, info, cfg.Seed)
-	if err != nil {
-		f.Close()
-		return info, nil, err
-	}
-	info, sum, runErr := campaign.RunPlanCell(jctx, cell, cfg, ts, append(append([]campaign.Sink{}, sinks...), chk)...)
-	if runErr == nil {
-		runErr = chk.Close() // writes the #END trailer
-	}
+	info, sum, runErr := campaign.ResumePlanCell(jctx, bytes.NewReader(prev), f, cell, cfg, ts, sinks...)
 	// On cancellation the trailer is deliberately not written: the log
 	// stays resumable from its last flushed #CHK record.
 	if cerr := f.Close(); runErr == nil {
 		runErr = cerr
 	}
-	return info, sum, runErr
-}
-
-// resumeCell completes a cell from its truncated checkpoint log,
-// rewriting the log (replayed prefix + re-run tail) alongside.
-func (m *Manager) resumeCell(jctx context.Context, prev []byte, logPath string, cell campaign.Cell, cfg campaign.Config, ts []float64, sinks []campaign.Sink) (campaign.StreamInfo, *campaign.Summary, error) {
-	tmp := logPath + ".resume"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return campaign.StreamInfo{}, nil, fmt.Errorf("service: checkpoint log: %w", err)
+	if !resumed {
+		return info, sum, false, runErr
 	}
-	info, sum, runErr := campaign.ResumePlanCell(jctx, bytes.NewReader(prev), f, cell, cfg, ts, sinks...)
-	if cerr := f.Close(); runErr == nil {
-		runErr = cerr
+	if runErr != nil && !isCancellation(runErr) {
+		_ = os.Remove(out)
+		return runLogged(jctx, logPath, nil, cell, cfg, ts, sinks)
 	}
-	if runErr == nil || isCancellation(runErr) {
-		// Keep the rewritten log: it covers at least as much as the old
-		// one (replayed prefix plus any newly checkpointed tail).
-		if rerr := os.Rename(tmp, logPath); rerr != nil && runErr == nil {
-			runErr = fmt.Errorf("service: checkpoint log: %w", rerr)
-		}
-	} else {
-		_ = os.Remove(tmp)
+	// Keep the rewritten log: it covers at least as much as the old one
+	// (replayed prefix plus any newly checkpointed tail).
+	if err := os.Rename(out, logPath); err != nil && runErr == nil {
+		runErr = fmt.Errorf("service: checkpoint log: %w", err)
 	}
-	return info, sum, runErr
+	return info, sum, true, runErr
 }

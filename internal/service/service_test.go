@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -306,6 +308,58 @@ func TestTornLogRestart(t *testing.T) {
 	}
 	if got := summariesJSON(t, jr); got != want {
 		t.Errorf("torn-log resumed summaries differ from the uninterrupted run")
+	}
+}
+
+// TestUnresumableLogRerun: a cell log the daemon cannot resume — here a
+// complete log of the same cell under another seed — is discarded and
+// the cell rerun from scratch, instead of failing or wedging the job.
+func TestUnresumableLogRerun(t *testing.T) {
+	dir := t.TempDir()
+	plan := smokePlan(120)
+	want := directSummaries(t, plan)
+
+	cells, err := plan.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alien := plan.Config()
+	alien.Seed = 7
+	var bad bytes.Buffer
+	if _, _, err := campaign.ResumePlanCell(context.Background(), bytes.NewReader(nil), &bad,
+		cells[0], alien, plan.EffectiveThresholds()); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newManager(t, dir)
+	s, err := m.Submit(plan, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := m.cellLogPath(s.ID, 0)
+	if err := os.MkdirAll(filepath.Dir(logPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logPath, bad.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	defer drain(t, m)
+	waitState(t, m, s.ID, StateDone)
+	jr, err := m.Result(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := summariesJSON(t, jr); got != want {
+		t.Errorf("rerun summaries differ from the direct run")
+	}
+	if jr.Cells[0].Resumed {
+		t.Errorf("cell 0 claims it resumed an alien log")
+	}
+	for _, p := range []string{logPath, logPath + ".resume"} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived the rerun", filepath.Base(p))
+		}
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 
 // Backend is the content-addressed store contract the service layer runs
 // against. The disk Store is the production implementation; Mem backs
-// tests and ephemeral daemons; remotestore.Client speaks the same
-// contract to an S3-shaped object service. All implementations must:
+// tests and ephemeral daemons. All implementations must:
 //
 //   - accept only lowercase-hex keys of 8..128 bytes (ValidKey);
 //   - make Put atomic: a concurrent Get sees the old value or the new

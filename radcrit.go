@@ -33,6 +33,7 @@
 package radcrit
 
 import (
+	"context"
 	"io"
 
 	"radcrit/internal/arch"
@@ -242,7 +243,7 @@ func RunCampaignStreaming(dev Device, kern Kernel, cfg Config, sinks ...Sink) (S
 // onwards; per-index randomness makes the tail bit-identical to the same
 // indices of a full run.
 func ResumeCampaignStreaming(dev Device, kern Kernel, cfg Config, start int, sinks ...Sink) (StreamInfo, error) {
-	return campaign.RunStreamingFrom(dev, kern, cfg, start, sinks...)
+	return campaign.RunStreamingFromCtx(context.Background(), dev, kern, cfg, start, sinks...)
 }
 
 // NewTallyReducer returns a streaming outcome-tally accumulator.
