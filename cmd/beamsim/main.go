@@ -117,7 +117,7 @@ func runFixed(plan *radcrit.Plan, out string) {
 // records) is streamed during the run, so single-cell runs still honour
 // -o / stdout; summaries report consumed vs planned strikes.
 func runAdaptive(plan *radcrit.Plan, out string) {
-	r := radcrit.NewAdaptiveRunner()
+	r := radcrit.NewRunner()
 	if len(plan.Cells) == 1 {
 		r.Logs = func(int, radcrit.CellSpec) (io.WriteCloser, error) {
 			if out == "" {

@@ -29,9 +29,11 @@
 //
 //	radcritd -worker -coordinator http://127.0.0.1:8447 -name w1
 //
-// -oneshot runs a plan in-process through the same engine and prints the
-// result in the API's JSON shape — the comparison form CI uses to assert
-// that daemon results equal direct StreamRunner runs.
+// -oneshot runs a plan in-process the way the daemon runs it (each cell
+// through the same engine path, adaptive cells stopping on their own
+// with no reallocation) and prints the result in the API's JSON shape —
+// the comparison form CI uses to assert that daemon results equal direct
+// runs.
 package main
 
 import (
@@ -49,7 +51,6 @@ import (
 	"time"
 
 	"radcrit/internal/api"
-	"radcrit/internal/campaign"
 	"radcrit/internal/cli"
 	"radcrit/internal/fleet"
 	"radcrit/internal/scratch"
@@ -249,20 +250,21 @@ func runWorker(base, name string, throttle time.Duration, metricsAddr string) {
 	logger.Printf("stopped")
 }
 
-// runOneshot executes a plan in-process through StreamRunner and prints
-// the result in the daemon's wire shape.
+// runOneshot executes a plan in-process through service.RunDirect and
+// prints the result in the daemon's wire shape.
 func runOneshot(path string) {
 	plan, err := cli.LoadPlanFile(path)
 	if err != nil {
 		cli.Fatal("radcritd", "%v", err)
 	}
-	res, err := (&campaign.StreamRunner{}).Run(context.Background(), plan)
+	res, err := service.RunDirect(context.Background(), plan)
 	if err != nil {
 		cli.Fatal("radcritd", "%v", err)
 	}
+	res.ID = "oneshot"
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(service.ResultFromPlan("oneshot", res)); err != nil {
+	if err := enc.Encode(res); err != nil {
 		cli.Fatal("radcritd", "%v", err)
 	}
 	fmt.Fprintln(os.Stderr, "radcritd: oneshot plan completed")

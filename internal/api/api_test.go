@@ -95,16 +95,16 @@ func summariesJSON(t *testing.T, cells []service.CellResult) string {
 
 // TestEndToEndGoldenBitIdentity is the PR's acceptance criterion: the
 // frozen golden plan submitted over HTTP returns per-cell summaries
-// byte-identical to StreamRunner run in-process — on a cold store, on a
+// byte-identical to service.RunDirect in-process — on a cold store, on a
 // warm (fully deduplicated) store, and from a fresh daemon incarnation
 // reusing the first one's store across a restart.
 func TestEndToEndGoldenBitIdentity(t *testing.T) {
 	plan := loadGoldenPlan(t)
-	direct, err := (&campaign.StreamRunner{}).Run(context.Background(), plan)
+	direct, err := service.RunDirect(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := summariesJSON(t, service.ResultFromPlan("direct", direct).Cells)
+	want := summariesJSON(t, direct.Cells)
 
 	dir := t.TempDir()
 	d := startDaemon(t, dir)
@@ -124,7 +124,7 @@ func TestEndToEndGoldenBitIdentity(t *testing.T) {
 		}
 	}
 	if got := summariesJSON(t, cold.Cells); got != want {
-		t.Errorf("cold-store summaries differ from in-process StreamRunner")
+		t.Errorf("cold-store summaries differ from in-process RunDirect")
 	}
 
 	warm, err := d.c.Run(ctx, plan, 0, 20*time.Millisecond, nil)
@@ -137,7 +137,7 @@ func TestEndToEndGoldenBitIdentity(t *testing.T) {
 		}
 	}
 	if got := summariesJSON(t, warm.Cells); got != want {
-		t.Errorf("warm-store summaries differ from in-process StreamRunner")
+		t.Errorf("warm-store summaries differ from in-process RunDirect")
 	}
 	d.stop(t)
 
@@ -155,7 +155,7 @@ func TestEndToEndGoldenBitIdentity(t *testing.T) {
 		}
 	}
 	if got := summariesJSON(t, again.Cells); got != want {
-		t.Errorf("post-restart summaries differ from in-process StreamRunner")
+		t.Errorf("post-restart summaries differ from in-process RunDirect")
 	}
 }
 

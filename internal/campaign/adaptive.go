@@ -21,8 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
 
 	"radcrit/internal/fault"
 	"radcrit/internal/injector"
@@ -42,14 +40,15 @@ const (
 	// DefaultAdaptiveAlpha is the confidence sequence's overall error
 	// budget when a spec leaves Alpha unset.
 	DefaultAdaptiveAlpha = stats.DefaultAlpha
-	// DefaultMaxEpochs bounds the AdaptiveRunner's reallocation rounds.
+	// DefaultMaxEpochs bounds the Runner's reallocation rounds.
 	DefaultMaxEpochs = 8
 )
 
 // AdaptiveSpec configures sequential early stopping for a plan: stop a
 // cell once the anytime-valid confidence interval for its SDC proportion
-// is tighter than TargetHalfWidth, and (under AdaptiveRunner) reallocate
-// the freed strikes to the cells with the widest intervals.
+// is tighter than TargetHalfWidth, and (under Runner) reallocate the
+// freed strikes to the cells with the widest intervals. The daemon and
+// the fleet stop each cell on its own and never reallocate.
 type AdaptiveSpec struct {
 	// TargetHalfWidth is the interval half-width at which a cell stops.
 	// Required, in (0, 0.5]: a proportion's half-width cannot exceed 0.5.
@@ -63,8 +62,8 @@ type AdaptiveSpec struct {
 	// Alpha is the confidence sequence's overall error budget
 	// (0 = DefaultAdaptiveAlpha).
 	Alpha float64 `json:"alpha,omitempty"`
-	// MaxEpochs bounds AdaptiveRunner's budget-reallocation rounds
-	// (0 = DefaultMaxEpochs). It never affects a single cell's summary —
+	// MaxEpochs bounds Runner's budget-reallocation rounds
+	// (0 = DefaultMaxEpochs); the daemon and the fleet ignore it. It never affects a single cell's summary —
 	// only how many times freed strikes are re-dealt — so it is excluded
 	// from CellKey.
 	MaxEpochs int `json:"max_epochs,omitempty"`
@@ -218,220 +217,4 @@ func recordEpoch(sinks []Sink, m logdata.EpochMark) {
 			_ = r.RecordEpoch(m)
 		}
 	}
-}
-
-// AdaptiveRunner executes a plan in budget epochs: every cell starts
-// with the plan's strike budget; cells whose confidence interval reaches
-// the target stop early and return their unused strikes to a shared
-// pool; between epochs the pool is re-dealt (in chunk quanta) to the
-// open cells with the widest intervals, widest first. The loop ends when
-// every cell has stopped, the pool is too small to deal, or MaxEpochs is
-// reached.
-//
-// Reallocation is a pure function of the epoch log — cells are ranked by
-// the same half-width the #EPOCH records carry, ties break on plan index
-// — so a re-run of the same plan deals the same budgets. Each cell's
-// summary is byte-identical to a straight run with Strikes = the strikes
-// it actually consumed (the early-stop determinism contract), whatever
-// epoch history produced that number.
-//
-// A plan without an Adaptive spec delegates to StreamRunner: outcomes
-// are byte-identical to today's non-adaptive path.
-type AdaptiveRunner struct {
-	Progress Progress
-	// Logs, when non-nil, supplies a checkpoint-log writer per cell. The
-	// runner streams the cell's #CHK and #EPOCH records into it across
-	// epochs and closes it when the plan finishes; an error creating a
-	// log fails that cell. On cancellation the log is left without its
-	// #END trailer — resumable, like every interrupted checkpoint log.
-	Logs func(i int, spec CellSpec) (io.WriteCloser, error)
-}
-
-var _ Runner = (*AdaptiveRunner)(nil)
-
-// adaptiveCellState is one cell's long-lived state across epochs.
-type adaptiveCellState struct {
-	run  *cellRun
-	logw io.WriteCloser
-
-	budget  int // current strike allocation
-	started bool
-	failed  bool
-}
-
-// open reports the cell still wants strikes: neither stopped nor failed.
-func (st *adaptiveCellState) open() bool {
-	return !st.failed && !st.run.es.stopped
-}
-
-// consumed is the chunk-aligned strike count executed so far.
-func (st *adaptiveCellState) consumed() int { return st.run.acc.Consumed() }
-
-// Run implements Runner.
-func (r *AdaptiveRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
-	if p == nil || p.Adaptive == nil {
-		sr := &StreamRunner{Progress: r.Progress}
-		return sr.Run(ctx, p)
-	}
-	res, cells, err := planStart(ctx, p)
-	if err != nil {
-		return res, err
-	}
-	baseCfg, rule, _ := adaptiveConfig(p.Config())
-	chunk := baseCfg.StreamChunk
-	maxEpochs := baseCfg.Adaptive.MaxEpochs
-
-	states := make([]*adaptiveCellState, len(cells))
-	for i := range cells {
-		run, _ := newCellRun(baseCfg, res.Thresholds)
-		st := &adaptiveCellState{run: run, budget: baseCfg.Strikes}
-		states[i] = st
-		if r.Logs == nil {
-			continue
-		}
-		info, err := CellInfo(cells[i].Dev, cells[i].Kern, baseCfg)
-		if err != nil {
-			st.failed = true
-			res.Cells[i].Err = err
-			continue
-		}
-		w, err := r.Logs(i, p.Cells[i])
-		if err != nil {
-			st.failed = true
-			res.Cells[i].Err = cellError(cells[i].Dev, cells[i].Kern, err)
-			continue
-		}
-		st.logw = w
-		if run.chk, err = NewCheckpointSink(w, info, baseCfg.Seed); err != nil {
-			st.failed = true
-			res.Cells[i].Err = cellError(cells[i].Dev, cells[i].Kern, err)
-		}
-	}
-
-	pool := 0
-	for epoch := 1; epoch <= maxEpochs; epoch++ {
-		for i, cell := range cells {
-			st := states[i]
-			if !st.open() || st.consumed() >= st.budget {
-				continue
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return r.finishCancelled(res, states, cerr)
-			}
-			cfg := baseCfg
-			cfg.Strikes = st.budget
-			var extra []Sink
-			if r.Progress.OnChunk != nil {
-				extra = append(extra, &chunkRelay{cell: i, fn: r.Progress.OnChunk})
-			}
-			if err := st.run.advance(ctx, cell, cfg, st.consumed(), epoch, extra); err != nil {
-				if isCancellation(err) {
-					st.started = true
-					return r.finishCancelled(res, states, ctx.Err())
-				}
-				st.failed = true
-				res.Cells[i].Err = err
-				continue
-			}
-			st.started = true
-			if st.run.es.stopped {
-				pool += st.budget - st.consumed()
-				st.budget = st.consumed()
-			}
-		}
-
-		var open []int
-		for i, st := range states {
-			if st.open() {
-				open = append(open, i)
-			}
-		}
-		if len(open) == 0 || epoch == maxEpochs || pool < chunk {
-			break
-		}
-		// Reallocate the freed pool to the widest intervals, widest first
-		// (ties in plan order), in chunk quanta so continuation runs stay
-		// look-aligned. Each open cell gets an equal chunk-quantized
-		// share; the remainder is dealt a chunk at a time down the
-		// ranking.
-		sort.SliceStable(open, func(a, b int) bool {
-			sa, sb := states[open[a]], states[open[b]]
-			ha := rule.HalfWidthAt(sa.run.es.sdc, sa.consumed())
-			hb := rule.HalfWidthAt(sb.run.es.sdc, sb.consumed())
-			if ha != hb {
-				return ha > hb
-			}
-			return open[a] < open[b]
-		})
-		per := pool / len(open)
-		per -= per % chunk
-		rem := pool - per*len(open)
-		for _, idx := range open {
-			add := per
-			if rem >= chunk {
-				add += chunk
-				rem -= chunk
-			}
-			states[idx].budget += add
-			pool -= add
-		}
-	}
-
-	for i, st := range states {
-		out := res.Cells[i]
-		if st.failed || !st.started {
-			if out.Err == nil && !st.started {
-				out.Err = fmt.Errorf("campaign: cell %d never ran", i)
-			}
-		} else {
-			out.Info, out.Summary, _ = st.run.result(nil)
-		}
-		r.closeCell(st, out)
-		if r.Progress.OnCell != nil {
-			r.Progress.OnCell(i, out)
-		}
-	}
-	return res, res.Err()
-}
-
-// closeCell seals a cell's checkpoint log (trailer + file handle).
-func (r *AdaptiveRunner) closeCell(st *adaptiveCellState, out *CellOutcome) {
-	if st.run.chk != nil {
-		if err := st.run.chk.Close(); err != nil && out.Err == nil {
-			out.Err = err
-		}
-		st.run.chk = nil
-	}
-	if st.logw != nil {
-		if err := st.logw.Close(); err != nil && out.Err == nil {
-			out.Err = err
-		}
-		st.logw = nil
-	}
-}
-
-// finishCancelled fills partial outcomes after an external cancellation:
-// cells with progress keep their prefix-rescaled info and partial
-// summary (like StreamRunner's cancelled cell), checkpoint logs are left
-// WITHOUT their #END trailer so they stay resumable, and untouched cells
-// are marked with ctx's error.
-func (r *AdaptiveRunner) finishCancelled(res *PlanResult, states []*adaptiveCellState, cerr error) (*PlanResult, error) {
-	for i, st := range states {
-		out := res.Cells[i]
-		if st.started {
-			out.Info, out.Summary, _ = st.run.result(nil)
-			if !st.run.es.stopped {
-				out.Err = cerr
-			}
-		} else if out.Err == nil {
-			out.Err = cerr
-		}
-		// Close file handles but never the CheckpointSink: no #END means
-		// the log resumes.
-		if st.logw != nil {
-			_ = st.logw.Close()
-			st.logw = nil
-		}
-	}
-	return res, cerr
 }

@@ -258,7 +258,7 @@ func TestEarlyStopMatchesStraightRun(t *testing.T) {
 func TestAdaptiveGoldenSavings(t *testing.T) {
 	plan := adaptiveGoldenPlan()
 	logs := make([]*bytes.Buffer, len(plan.Cells))
-	r := &AdaptiveRunner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
+	r := &Runner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
 		logs[i] = &bytes.Buffer{}
 		return bufCloser{logs[i]}, nil
 	}}
@@ -289,7 +289,7 @@ func TestAdaptiveGoldenSavings(t *testing.T) {
 	// Each early-stopped cell equals the straight run at its stop budget.
 	straight := NewPlan(goldenSeed, adaptiveGoldenStops[1]).
 		WithCell("k40", "lavamd:4").WithCell("k40", "clamr:48x60").WithThresholds(0, 2)
-	sres, err := (&StreamRunner{}).Run(context.Background(), straight)
+	sres, err := (&Runner{}).Run(context.Background(), straight)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,25 +409,6 @@ func TestAdaptiveReplayByteIdentity(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRunnerNilSpecDelegates pins today's behaviour for plans
-// without a spec: AdaptiveRunner is StreamRunner, outcome for outcome.
-func TestAdaptiveRunnerNilSpecDelegates(t *testing.T) {
-	plan := NewPlan(7, 60).
-		WithCell("k40", "dgemm:128").WithCell("k40", "hotspot:64x80").
-		WithThresholds(0, 2)
-	a, err := (&AdaptiveRunner{}).Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := (&StreamRunner{}).Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Cells, s.Cells) {
-		t.Fatalf("nil-spec AdaptiveRunner diverges from StreamRunner:\n%+v\nvs\n%+v", a.Cells, s.Cells)
-	}
-}
-
 // TestAdaptiveRunnerReallocation pins the budget-epoch machinery under a
 // tighter 0.08 target: lavamd frees 200 strikes and clamr 50, hotspot
 // stops exactly at its budget, and the whole pool flows to dgemm — the
@@ -439,7 +420,7 @@ func TestAdaptiveRunnerReallocation(t *testing.T) {
 		plan := adaptiveGoldenPlan().
 			WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.08, MinStrikes: 100, CheckEvery: 50, MaxEpochs: 3})
 		logs := make([]*bytes.Buffer, len(plan.Cells))
-		r := &AdaptiveRunner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
+		r := &Runner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
 			logs[i] = &bytes.Buffer{}
 			return bufCloser{logs[i]}, nil
 		}}
@@ -494,7 +475,7 @@ func TestAdaptiveRunnerResumesOwnLog(t *testing.T) {
 	plan := adaptiveGoldenPlan().
 		WithAdaptive(AdaptiveSpec{TargetHalfWidth: 0.08, MinStrikes: 100, CheckEvery: 50, MaxEpochs: 3})
 	logs := make([]*bytes.Buffer, len(plan.Cells))
-	r := &AdaptiveRunner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
+	r := &Runner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
 		logs[i] = &bytes.Buffer{}
 		return bufCloser{logs[i]}, nil
 	}}
@@ -539,13 +520,13 @@ func TestAdaptiveRunnerCancellation(t *testing.T) {
 	plan := adaptiveGoldenPlan()
 	ctx, cancel := context.WithCancel(context.Background())
 	logs := make([]*bytes.Buffer, len(plan.Cells))
-	r := &AdaptiveRunner{
-		Progress: Progress{OnChunk: func(cell, done int) {
-			if cell == 0 && done >= 100 {
-				cancel()
-			}
-		}},
+	r := &Runner{
 		Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
+			if i == 0 {
+				w := cancelAtCHK(100, cancel)
+				logs[i] = &w.Buffer
+				return w, nil
+			}
 			logs[i] = &bytes.Buffer{}
 			return bufCloser{logs[i]}, nil
 		},

@@ -84,8 +84,9 @@ type Config struct {
 	// Adaptive, when non-nil, enables sequential early stopping: the
 	// streaming engine evaluates Adaptive's stop rule at every chunk
 	// boundary and ends the cell once its SDC-proportion confidence
-	// interval is tight enough (DESIGN.md §11). Only the plan runners
-	// read it; Run/RunCtx always execute the full budget.
+	// interval is tight enough (DESIGN.md §11). Only RunPlanCell,
+	// ResumePlanCell and Runner read it; Run, RunCtx and the
+	// RunStreaming* engine calls always execute the full budget.
 	Adaptive *AdaptiveSpec
 }
 

@@ -66,7 +66,7 @@ func cellKeyPayload(spec CellSpec, cfg Config, thresholds []float64) string {
 	// The spec is keyed in normalized form so "CheckEvery: 0" under a
 	// 50-strike chunk and an explicit "CheckEvery: 50" — identical stop
 	// schedules — share one key. MaxEpochs is deliberately absent: it
-	// bounds AdaptiveRunner's reallocation rounds and never affects a
+	// bounds Runner's reallocation rounds and never affects a
 	// single cell's summary at a given budget.
 	if cfg.Adaptive != nil {
 		a := cfg.Adaptive.normalized(cfg.effectiveChunk())

@@ -59,7 +59,7 @@ type Plan struct {
 	Facility string `json:"facility,omitempty"`
 	// Adaptive, when present, enables sequential early stopping: cells end
 	// as soon as their SDC confidence interval reaches the target
-	// half-width, and AdaptiveRunner reallocates the freed strikes. Absent
+	// half-width, and Runner reallocates the freed strikes. Absent
 	// (nil) means every cell runs its full budget, byte-identical to plans
 	// predating this field.
 	Adaptive *AdaptiveSpec `json:"adaptive,omitempty"`

@@ -3,6 +3,9 @@ package campaign
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
+	"sort"
 
 	"radcrit/internal/fit"
 	"radcrit/internal/injector"
@@ -74,44 +77,237 @@ func (r *PlanResult) Err() error {
 	return errors.Join(errs...)
 }
 
-// Progress carries a Runner's optional observation hooks. Hooks are
-// invoked synchronously from the runner's goroutine, so they never need
-// their own locking.
-type Progress struct {
-	// OnCell fires when a cell completes (successfully or not), with its
-	// plan index.
-	OnCell func(i int, out *CellOutcome)
-	// OnChunk fires at every chunk boundary with the number of strikes
-	// consumed so far.
-	OnChunk func(cell int, done int)
-}
-
-// Runner executes a validated plan under a context. Implementations
-// honour cancellation at chunk boundaries, return the partial PlanResult
-// gathered so far together with ctx.Err(), and leak no goroutines. An
+// Runner executes a validated plan cell by cell through the streaming
+// engine: summaries come from online reducers, no reports are retained,
+// and peak memory per cell is O(StreamChunk + reducer state). It honours
+// cancellation at chunk boundaries, returns the partial PlanResult
+// gathered so far together with ctx.Err(), and leaks no goroutines. An
 // invalid plan is rejected up front (Plan.Validate) — no panic is
-// reachable from any Runner for any plan value.
-type Runner interface {
-	Run(ctx context.Context, p *Plan) (*PlanResult, error)
+// reachable for any plan value.
+//
+// A plan without an Adaptive spec is one epoch with no stop rule: every
+// cell runs its full budget and its outcome is exactly RunPlanCell's. A
+// plan with a spec runs in budget epochs: every cell starts with the
+// plan's strike budget; cells whose confidence interval reaches the
+// target stop early and return their unused strikes to a shared pool;
+// between epochs the pool is re-dealt (in chunk quanta) to the open cells
+// with the widest intervals, widest first. The loop ends when every cell
+// has stopped, the pool is too small to deal, or MaxEpochs is reached.
+//
+// Reallocation is a pure function of the epoch log — cells are ranked by
+// the same half-width the #EPOCH records carry, ties break on plan index
+// — so a re-run of the same plan deals the same budgets. Each cell's
+// summary is byte-identical to a straight run with Strikes = the strikes
+// it actually consumed (the early-stop determinism contract), whatever
+// epoch history produced that number.
+type Runner struct {
+	// Logs, when non-nil, supplies a checkpoint-log writer per cell. The
+	// runner streams the cell's #CHK (and, on an adaptive plan, #EPOCH)
+	// records into it and closes it when the plan finishes; an error
+	// creating a log fails that cell. On cancellation the log is left
+	// without its #END trailer — resumable, like every interrupted
+	// checkpoint log.
+	Logs func(i int, spec CellSpec) (io.WriteCloser, error)
 }
 
-// StreamRunner executes cells sequentially through the streaming engine:
-// summaries come from online reducers, no reports are retained, and peak
-// memory per cell is O(StreamChunk + reducer state). A cancelled cell's
-// outcome keeps the partial reducer state accumulated up to the last
-// complete chunk.
-type StreamRunner struct {
-	Progress Progress
+// cellState is one cell's long-lived state across epochs.
+type cellState struct {
+	run  *cellRun
+	logw io.WriteCloser
+
+	budget  int // current strike allocation
+	started bool
+	failed  bool
 }
 
-var _ Runner = (*StreamRunner)(nil)
+// done reports the runner will not advance the cell again: its stop rule
+// fired, or a fixed-budget cell ran its budget.
+func (st *cellState) done() bool {
+	if st.run.es == nil {
+		return st.consumed() >= st.budget
+	}
+	return st.run.es.stopped
+}
+
+// open reports the cell still wants strikes: neither done nor failed.
+func (st *cellState) open() bool { return !st.failed && !st.done() }
+
+// consumed is the chunk-aligned strike count executed so far.
+func (st *cellState) consumed() int { return st.run.acc.Consumed() }
+
+// Run executes p. Cell failures are recorded in their outcomes and joined
+// into the returned error.
+func (r *Runner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
+	res, cells, err := planStart(ctx, p)
+	if err != nil {
+		// res is non-nil (with cells marked) for build-phase cancellation,
+		// nil for an invalid plan.
+		return res, err
+	}
+	baseCfg, rule, adaptive := adaptiveConfig(p.Config())
+	chunk, maxEpochs := baseCfg.StreamChunk, 1
+	if adaptive {
+		maxEpochs = baseCfg.Adaptive.MaxEpochs
+	}
+
+	states := make([]*cellState, len(cells))
+	for i := range cells {
+		run, _ := newCellRun(baseCfg, res.Thresholds)
+		st := &cellState{run: run, budget: baseCfg.Strikes}
+		states[i] = st
+		if r.Logs == nil {
+			continue
+		}
+		info, err := CellInfo(cells[i].Dev, cells[i].Kern, baseCfg)
+		if err != nil {
+			st.failed = true
+			res.Cells[i].Err = err
+			continue
+		}
+		w, err := r.Logs(i, p.Cells[i])
+		if err != nil {
+			st.failed = true
+			res.Cells[i].Err = cellError(cells[i].Dev, cells[i].Kern, err)
+			continue
+		}
+		st.logw = w
+		if run.chk, err = NewCheckpointSink(w, info, baseCfg.Seed); err != nil {
+			st.failed = true
+			res.Cells[i].Err = cellError(cells[i].Dev, cells[i].Kern, err)
+		}
+	}
+
+	pool := 0
+	for epoch := 1; epoch <= maxEpochs; epoch++ {
+		for i, cell := range cells {
+			st := states[i]
+			if !st.open() || st.consumed() >= st.budget {
+				continue
+			}
+			if cerr := ctx.Err(); cerr != nil {
+				return r.finishCancelled(res, states, cerr)
+			}
+			cfg := baseCfg
+			cfg.Strikes = st.budget
+			if err := st.run.advance(ctx, cell, cfg, st.consumed(), epoch, nil); err != nil {
+				if isCancellation(err) {
+					st.started = true
+					return r.finishCancelled(res, states, ctx.Err())
+				}
+				st.failed = true
+				res.Cells[i].Err = err
+				continue
+			}
+			st.started = true
+			if adaptive && st.done() {
+				pool += st.budget - st.consumed()
+				st.budget = st.consumed()
+			}
+		}
+
+		var open []int
+		for i, st := range states {
+			if st.open() {
+				open = append(open, i)
+			}
+		}
+		if len(open) == 0 || epoch == maxEpochs || pool < chunk {
+			break
+		}
+		// Reallocate the freed pool to the widest intervals, widest first
+		// (ties in plan order), in chunk quanta so continuation runs stay
+		// look-aligned. Each open cell gets an equal chunk-quantized
+		// share; the remainder is dealt a chunk at a time down the
+		// ranking.
+		sort.SliceStable(open, func(a, b int) bool {
+			sa, sb := states[open[a]], states[open[b]]
+			ha := rule.HalfWidthAt(sa.run.es.sdc, sa.consumed())
+			hb := rule.HalfWidthAt(sb.run.es.sdc, sb.consumed())
+			if ha != hb {
+				return ha > hb
+			}
+			return open[a] < open[b]
+		})
+		per := pool / len(open)
+		per -= per % chunk
+		rem := pool - per*len(open)
+		for _, idx := range open {
+			add := per
+			if rem >= chunk {
+				add += chunk
+				rem -= chunk
+			}
+			states[idx].budget += add
+			pool -= add
+		}
+	}
+
+	for i, st := range states {
+		out := res.Cells[i]
+		if st.failed || !st.started {
+			if out.Err == nil && !st.started {
+				out.Err = fmt.Errorf("campaign: cell %d never ran", i)
+			}
+		} else {
+			out.Info, out.Summary, _ = st.run.result(nil)
+		}
+		r.closeCell(st, out)
+	}
+	return res, res.Err()
+}
+
+// closeCell seals a cell's checkpoint log (trailer + file handle).
+func (r *Runner) closeCell(st *cellState, out *CellOutcome) {
+	if st.run.chk != nil {
+		if err := st.run.chk.Close(); err != nil && out.Err == nil {
+			out.Err = err
+		}
+		st.run.chk = nil
+	}
+	if st.logw != nil {
+		if err := st.logw.Close(); err != nil && out.Err == nil {
+			out.Err = err
+		}
+		st.logw = nil
+	}
+}
+
+// finishCancelled fills partial outcomes after an external cancellation.
+// A done cell (stopped, or a fixed-budget cell that ran its budget) keeps
+// its full outcome; a started cell that is not done — the in-flight one,
+// or an adaptive cell still short of its target — keeps its
+// prefix-rescaled info and partial summary with ctx's error; cells never
+// reached are marked with ctx's error. Checkpoint logs are left WITHOUT
+// their #END trailer so they stay resumable.
+func (r *Runner) finishCancelled(res *PlanResult, states []*cellState, cerr error) (*PlanResult, error) {
+	for i, st := range states {
+		out := res.Cells[i]
+		switch {
+		case st.failed:
+			// Keeps its own error.
+		case st.started && st.done():
+			out.Info, out.Summary, _ = st.run.result(nil)
+		case st.started:
+			out.Info, out.Summary, out.Err = st.run.result(cerr)
+		default:
+			out.Err = cerr
+		}
+		// Close file handles but never the CheckpointSink: no #END means
+		// the log resumes.
+		if st.logw != nil {
+			_ = st.logw.Close()
+			st.logw = nil
+		}
+	}
+	return res, cerr
+}
 
 // planStart validates and builds the plan (honouring ctx between kernel
 // constructions — the golden simulations happen here) and allocates the
 // shared result shell. An invalid plan returns (nil, nil, err); a
 // cancellation during the build phase returns the shell with every cell
-// marked ctx.Err(), honouring the Runner contract that a cancelled run
-// always yields a partial PlanResult.
+// marked ctx.Err(), honouring the contract that a cancelled run always
+// yields a partial PlanResult.
 func planStart(ctx context.Context, p *Plan) (*PlanResult, []Cell, error) {
 	cells, err := p.BuildCtx(ctx)
 	if err != nil {
@@ -147,7 +343,8 @@ func markCancelled(outs []*CellOutcome, err error) {
 	}
 }
 
-// streamReducers is the reducer stack a StreamRunner attaches per cell.
+// streamReducers is the reducer stack a SummaryAccumulator folds a cell
+// into.
 type streamReducers struct {
 	tally  *TallyReducer
 	counts *SDCCountReducer
@@ -207,56 +404,4 @@ func (r *streamReducers) summary(ts []float64, info StreamInfo) *Summary {
 		s.FilteredFraction = append(s.FilteredFraction, r.fracs[k].Fraction())
 	}
 	return s
-}
-
-// chunkRelay forwards chunk boundaries to a Progress hook.
-type chunkRelay struct {
-	cell int
-	fn   func(cell, done int)
-}
-
-func (c *chunkRelay) Consume(int, injector.Outcome) {}
-func (c *chunkRelay) FlushChunk(next int)           { c.fn(c.cell, next) }
-
-// Run implements Runner.
-func (r *StreamRunner) Run(ctx context.Context, p *Plan) (*PlanResult, error) {
-	res, cells, err := planStart(ctx, p)
-	if err != nil {
-		// res is non-nil (with cells marked) for build-phase cancellation,
-		// nil for an invalid plan.
-		return res, err
-	}
-	cfg := p.Config()
-	for i, cell := range cells {
-		out := res.Cells[i]
-		if cerr := ctx.Err(); cerr != nil {
-			markCancelled(res.Cells[i:], cerr)
-			return res, cerr
-		}
-		var extra []Sink
-		if r.Progress.OnChunk != nil {
-			extra = append(extra, &chunkRelay{cell: i, fn: r.Progress.OnChunk})
-		}
-		// RunPlanCell handles the cancellation bookkeeping: a cancelled
-		// cell comes back with its info rescaled to the strikes actually
-		// consumed and the partial summary over that prefix — against the
-		// full planned exposure the FIT rates would be biased low by the
-		// cancelled fraction.
-		info, sum, err := RunPlanCell(ctx, cell, cfg, res.Thresholds, extra...)
-		out.Info, out.Summary = info, sum
-		if err != nil {
-			out.Err = err
-			if isCancellation(err) {
-				if r.Progress.OnCell != nil {
-					r.Progress.OnCell(i, out)
-				}
-				markCancelled(res.Cells[i+1:], err)
-				return res, ctx.Err()
-			}
-		}
-		if r.Progress.OnCell != nil {
-			r.Progress.OnCell(i, out)
-		}
-	}
-	return res, res.Err()
 }

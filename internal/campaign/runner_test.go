@@ -1,12 +1,13 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,8 +46,8 @@ func TestPlanReproducesGoldenTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden plan failed to load: %v", err)
 	}
-	runners := map[string]Runner{
-		"stream": &StreamRunner{},
+	runners := map[string]*Runner{
+		"runner": {},
 	}
 	for rname, r := range runners {
 		res, err := r.Run(context.Background(), plan)
@@ -81,6 +82,29 @@ func TestPlanReproducesGoldenTable(t *testing.T) {
 	}
 }
 
+// chkCanceller is a checkpoint-log writer that cancels the run once the
+// log holds the #CHK record for a given strike index: a chunk-boundary
+// cancellation trigger that needs nothing but the Runner's Logs hook.
+type chkCanceller struct {
+	bytes.Buffer
+	mark   []byte
+	cancel context.CancelFunc
+}
+
+func cancelAtCHK(next int, cancel context.CancelFunc) *chkCanceller {
+	return &chkCanceller{mark: fmt.Appendf(nil, "#CHK next:%d ", next), cancel: cancel}
+}
+
+func (w *chkCanceller) Write(p []byte) (int, error) {
+	n, err := w.Buffer.Write(p)
+	if bytes.Contains(w.Bytes(), w.mark) {
+		w.cancel()
+	}
+	return n, err
+}
+
+func (w *chkCanceller) Close() error { return nil }
+
 // TestStreamRunnerCancellation pins graceful cancellation: cancelling
 // mid-cell surfaces ctx.Err(), keeps the chunk-aligned partial reducer
 // state, marks unreached cells, and leaks no goroutines.
@@ -95,12 +119,11 @@ func TestStreamRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const cancelAt = 200
-	r := &StreamRunner{Progress: Progress{
-		OnChunk: func(cell, done int) {
-			if cell == 0 && done >= cancelAt {
-				cancel()
-			}
-		},
+	r := &Runner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
+		if i == 0 {
+			return cancelAtCHK(cancelAt, cancel), nil
+		}
+		return bufCloser{&bytes.Buffer{}}, nil
 	}}
 	res, err := r.Run(ctx, plan)
 	if !errors.Is(err, context.Canceled) {
@@ -159,12 +182,11 @@ func TestBatchRunnerCancellationBetweenCells(t *testing.T) {
 		WithCell("phi", "dgemm:128")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	r := &StreamRunner{Progress: Progress{
-		OnCell: func(i int, out *CellOutcome) {
-			if i == 0 {
-				cancel()
-			}
-		},
+	r := &Runner{Logs: func(i int, _ CellSpec) (io.WriteCloser, error) {
+		if i == 0 {
+			return cancelAtCHK(120, cancel), nil
+		}
+		return bufCloser{&bytes.Buffer{}}, nil
 	}}
 	res, err := r.Run(ctx, plan)
 	if !errors.Is(err, context.Canceled) {
@@ -185,7 +207,7 @@ func TestMatrixRunnerPreCancelled(t *testing.T) {
 	plan := NewPlan(9, 50).WithKernelOnDevices("dgemm:128", "k40", "phi")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (&StreamRunner{}).Run(ctx, plan); !errors.Is(err, context.Canceled) {
+	if _, err := (&Runner{}).Run(ctx, plan); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run returned %v", err)
 	}
 }
@@ -200,8 +222,8 @@ func TestBuildCtxHonoursCancellation(t *testing.T) {
 	if _, err := plan.BuildCtx(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled BuildCtx returned %v", err)
 	}
-	for name, r := range map[string]Runner{
-		"stream": &StreamRunner{},
+	for name, r := range map[string]*Runner{
+		"runner": {},
 	} {
 		res, err := r.Run(ctx, plan)
 		if !errors.Is(err, context.Canceled) {
@@ -396,26 +418,4 @@ func waitForGoroutines(t *testing.T, before int) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Errorf("goroutines did not settle: %d before, %d after cancellation", before, now)
-}
-
-// TestProgressHooks pins hook delivery order and coverage.
-func TestProgressHooks(t *testing.T) {
-	plan := NewPlan(3, 64).
-		WithKernelOnDevices("dgemm:128", "k40", "phi").
-		WithStreamChunk(32)
-	var cells atomic.Int32
-	var chunks atomic.Int32
-	r := &StreamRunner{Progress: Progress{
-		OnCell:  func(int, *CellOutcome) { cells.Add(1) },
-		OnChunk: func(int, int) { chunks.Add(1) },
-	}}
-	if _, err := r.Run(context.Background(), plan); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if cells.Load() != 2 {
-		t.Errorf("OnCell fired %d times for 2 cells", cells.Load())
-	}
-	if chunks.Load() != 4 {
-		t.Errorf("OnChunk fired %d times, want 4 (2 cells x 2 chunks)", chunks.Load())
-	}
 }

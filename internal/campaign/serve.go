@@ -5,9 +5,9 @@ package campaign
 // an optional checkpoint log and an optional stop rule, advanced through
 // the engine from any strike index. A fresh logged cell is a resume of an
 // empty log, so RunPlanCell (no log), ResumePlanCell (a log, possibly
-// empty), RecoverLog and every AdaptiveRunner epoch share one checkpoint
-// and early-stop path, and a daemon that interleaves caching and
-// checkpointing runs the exact engine path the in-process runners are
+// empty), RecoverLog and every Runner epoch share one checkpoint and
+// early-stop path, and a daemon that interleaves caching and
+// checkpointing runs the exact engine path the in-process Runner is
 // pinned against.
 
 import (
@@ -19,17 +19,15 @@ import (
 	"radcrit/internal/grid"
 	"radcrit/internal/injector"
 	"radcrit/internal/logdata"
-	"radcrit/internal/metrics"
 )
 
 // SummaryAccumulator folds a streaming outcome sequence into a Summary —
-// the reducer stack StreamRunner attaches per cell, exported as a Sink so
-// serving layers can combine it with their own sinks (checkpoint logs,
-// progress relays) on one engine pass. It additionally replays salvaged
-// checkpoint-log events, which is what makes a resumed cell's summary
-// bit-identical to an uninterrupted run: the prefix comes from the log's
-// exact hex-float record, the tail from the deterministic per-index RNG
-// splits.
+// the per-cell reducer stack, exported as a Sink so serving layers can
+// combine it with their own sinks (checkpoint logs, progress relays) on
+// one engine pass. It additionally replays salvaged checkpoint-log
+// events, which is what makes a resumed cell's summary bit-identical to
+// an uninterrupted run: the prefix comes from the log's exact hex-float
+// record, the tail from the deterministic per-index RNG splits.
 //
 // Not safe for concurrent use; the engine's in-order consume loop is a
 // single goroutine (Sink contract).
@@ -63,23 +61,14 @@ func (a *SummaryAccumulator) AddMasked(n int) {
 }
 
 // ReplayEvent feeds one salvaged checkpoint-log event into the reducers,
-// reconstructing the outcome exactly as logdata.Log.Reports does: the
-// logged hex floats round-trip bit-exactly and RelErrPct is recomputed
-// with the same function the live comparator uses, so every summary
-// statistic derived from a replayed prefix matches the live run bit for
-// bit. dims is the cell's output shape (the log header's dims). The
-// injection scope is not reconstructed — no reducer reads it.
+// its report rebuilt by logdata.Event.Report, so every summary statistic
+// derived from a replayed prefix matches the live run bit for bit. dims
+// is the cell's output shape (the log header's dims). The injection
+// scope is not reconstructed — no reducer reads it.
 func (a *SummaryAccumulator) ReplayEvent(ev logdata.Event, dims grid.Dims) {
-	out := injector.Outcome{Class: ev.Class}
+	out := injector.Outcome{Class: ev.Class, Report: ev.Report(dims)}
 	if r, ok := fault.ResourceFromString(ev.Resource); ok {
 		out.Resource = r
-	}
-	if ev.Class == fault.SDC {
-		out.Report = &metrics.Report{
-			Dims:          dims,
-			TotalElements: dims.Len(),
-			Mismatches:    ev.Mismatches,
-		}
 	}
 	a.Consume(ev.Exec, out)
 }
@@ -95,10 +84,11 @@ func (a *SummaryAccumulator) Summary(info StreamInfo) *Summary {
 }
 
 // RunPlanCell executes one resolved plan cell through the streaming
-// engine and returns its StreamInfo and Summary — StreamRunner's per-cell
-// body, exported for serving layers. The extra sinks observe the same
-// in-order outcome stream after the accumulator (so a CheckpointSink's
-// chunk flush always covers what the summary has consumed).
+// engine and returns its StreamInfo and Summary — a fixed-budget
+// Runner's per-cell body, exported for serving layers. The extra sinks
+// observe the same in-order outcome stream after the accumulator (so a
+// CheckpointSink's chunk flush always covers what the summary has
+// consumed).
 //
 // On cancellation the returned info is rescaled to the chunk-aligned
 // prefix actually consumed and the partial summary over that prefix is
@@ -142,8 +132,8 @@ func ResumePlanCell(ctx context.Context, truncated io.Reader, w io.Writer, cell 
 // cellRun is the one per-cell execution primitive: a summary
 // accumulator, an optional checkpoint log and an optional stop rule,
 // advanced through the engine from any strike index. RunPlanCell,
-// ResumePlanCell (and RecoverLog through it) and every AdaptiveRunner
-// epoch are arrangements of it, so the early-stop wiring exists once.
+// ResumePlanCell (and RecoverLog through it) and every Runner epoch are
+// arrangements of it, so the early-stop wiring exists once.
 type cellRun struct {
 	acc  *SummaryAccumulator
 	chk  *CheckpointSink // nil: no log

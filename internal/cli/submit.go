@@ -16,7 +16,7 @@ import (
 // the individual flags — runs on a radcritd daemon instead of
 // in-process, sharing the daemon's content-addressed result store with
 // every other client. The summaries that come back are bit-identical to
-// an in-process StreamRunner run (the daemon's acceptance contract).
+// an in-process service.RunDirect run (the daemon's acceptance contract).
 type SubmitFlags struct {
 	Addr     string
 	Priority int

@@ -159,11 +159,11 @@ func summariesJSON(t *testing.T, jr *service.JobResult) string {
 
 func directSummaries(t *testing.T, p *campaign.Plan) string {
 	t.Helper()
-	res, err := (&campaign.StreamRunner{}).Run(context.Background(), p)
+	res, err := service.RunDirect(context.Background(), p)
 	if err != nil {
-		t.Fatalf("direct StreamRunner: %v", err)
+		t.Fatalf("direct run: %v", err)
 	}
-	return summariesJSON(t, service.ResultFromPlan("direct", res))
+	return summariesJSON(t, res)
 }
 
 // waitWorkers polls fleet health until n workers are registered —

@@ -14,7 +14,7 @@
 // of (spec, config, thresholds) — per-index RNG splits make any resumed
 // tail bit-identical to an uninterrupted run — so whichever worker (or
 // mixture of workers, or local fallback) executes a cell, the summary is
-// byte-identical to a direct in-process StreamRunner run. The chaos
+// byte-identical to a direct in-process service.RunDirect run. The chaos
 // suite (chaos_test.go, chaostest/) pins exactly that.
 package fleet
 

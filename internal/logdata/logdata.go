@@ -33,6 +33,18 @@ type Event struct {
 	Mismatches []metrics.Mismatch
 }
 
+// Report reconstructs an SDC event's comparator report over an output of
+// shape dims (the log header's dims): the logged hex floats round-trip
+// bit-exactly, so every statistic derived from it matches the live run
+// bit for bit. Crash and hang events have no report (nil). This is the
+// one place a report is built from a log event.
+func (e Event) Report(dims grid.Dims) *metrics.Report {
+	if e.Class != fault.SDC {
+		return nil
+	}
+	return &metrics.Report{Dims: dims, TotalElements: dims.Len(), Mismatches: e.Mismatches}
+}
+
 // EpochMark is one adaptive-campaign budget-epoch record (an #EPOCH
 // line): the planned allocation the epoch ran under, where it actually
 // ended, and the stop rule's verdict there. Marks are an audit trail —
@@ -105,14 +117,9 @@ func (l *Log) CrashHangCount() int {
 func (l *Log) Reports() []*metrics.Report {
 	var reps []*metrics.Report
 	for _, e := range l.Events {
-		if e.Class != fault.SDC {
-			continue
+		if r := e.Report(l.OutputDims); r != nil {
+			reps = append(reps, r)
 		}
-		reps = append(reps, &metrics.Report{
-			Dims:          l.OutputDims,
-			TotalElements: l.OutputDims.Len(),
-			Mismatches:    e.Mismatches,
-		})
 	}
 	return reps
 }

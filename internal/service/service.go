@@ -66,9 +66,6 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// terminal is the package-internal spelling of State.Terminal.
-func terminal(s State) bool { return s.Terminal() }
-
 // CellStatus is one plan cell's live progress.
 type CellStatus struct {
 	// State is "pending", "running", "done" or "failed".
@@ -135,30 +132,39 @@ type JobResult struct {
 	Cells      []CellResult `json:"cells"`
 }
 
-// ResultFromPlan renders an in-process PlanResult in the service's wire
-// shape — the comparison form for "daemon result equals direct
-// StreamRunner run" checks (CI's service smoke, the API's e2e suite).
-func ResultFromPlan(id string, res *campaign.PlanResult) *JobResult {
-	jr := &JobResult{
-		ID:         id,
-		State:      StateDone,
-		Name:       res.Plan.Name,
-		Thresholds: append([]float64(nil), res.Thresholds...),
+// RunDirect runs a plan in-process the way the daemon runs it — cells in
+// plan order through campaign.RunPlanCell, each adaptive cell stopping on
+// its own with no reallocation of freed strikes — and renders it in the
+// service's wire shape, with an empty ID. It is the reference for
+// "daemon result equals direct run" checks (radcritd -oneshot, CI's
+// service smoke, the e2e suites). Cell failures are recorded in their
+// results and joined into the error; a cancellation ends the run at the
+// cell in flight, whose partial result is the last one returned.
+func RunDirect(ctx context.Context, p *campaign.Plan) (*JobResult, error) {
+	cells, err := p.BuildCtx(ctx)
+	if err != nil {
+		return nil, err
 	}
-	for i, out := range res.Cells {
-		cr := CellResult{Spec: out.Spec, Key: res.Plan.CellKey(i)}
-		if out.Err != nil {
-			cr.Error = out.Err.Error()
+	cfg, ts := p.Config(), p.EffectiveThresholds()
+	jr := &JobResult{State: StateDone, Name: p.Name, Thresholds: ts}
+	var errs []error
+	for i, cell := range cells {
+		cr := CellResult{Spec: p.Cells[i], Key: p.CellKey(i)}
+		info, sum, err := campaign.RunPlanCell(ctx, cell, cfg, ts)
+		if err != nil {
+			cr.Error = err.Error()
 			jr.State = StateFailed
+			errs = append(errs, err)
 		}
-		if out.Summary != nil {
-			info := out.Info
-			cr.Info = &info
-			cr.Summary = out.Summary
+		if sum != nil {
+			cr.Info, cr.Summary = &info, sum
 		}
 		jr.Cells = append(jr.Cells, cr)
+		if isCancellation(err) {
+			break
+		}
 	}
-	return jr
+	return jr, errors.Join(errs...)
 }
 
 // StoreRecord is the content-addressed store's entry payload.
@@ -450,24 +456,8 @@ func (m *Manager) markRestoredCells(j *Job) {
 			continue
 		}
 		var cr CellResult
-		if json.Unmarshal(data, &cr) != nil {
-			continue
-		}
-		switch {
-		case cr.Error != "":
-			j.cells[i].State = "failed"
-			j.cells[i].Error = cr.Error
-		case cr.Summary != nil:
-			j.cells[i].State = "done"
-			// Info carries the true consumed count (an adaptive stop
-			// consumes fewer strikes than planned); Total covers records
-			// persisted before Info existed.
-			j.cells[i].Strikes = j.cells[i].Total
-			if cr.Info != nil {
-				j.cells[i].Strikes = cr.Info.Strikes
-			}
-			j.cells[i].Cached = cr.Cached
-			j.cells[i].Resumed = cr.Resumed
+		if json.Unmarshal(data, &cr) == nil && (cr.Summary != nil || cr.Error != "") {
+			j.cells[i] = cellStatusOf(&cr, j.cells[i].Total)
 		}
 	}
 }
@@ -652,7 +642,7 @@ type tenantUsage struct {
 func (m *Manager) tenantUsageLocked(name string) tenantUsage {
 	var u tenantUsage
 	for _, j := range m.jobs {
-		if j.Tenant != name || terminal(j.State) {
+		if j.Tenant != name || j.State.Terminal() {
 			continue
 		}
 		if j.State == StateQueued {
@@ -715,7 +705,7 @@ func (m *Manager) pruneJobsLocked() {
 	}
 	var done []*Job
 	for _, j := range m.jobs {
-		if terminal(j.State) {
+		if j.State.Terminal() {
 			done = append(done, j)
 		}
 	}
@@ -832,7 +822,7 @@ func (m *Manager) Result(id string) (*JobResult, error) {
 	if !ok {
 		return nil, ErrUnknownJob
 	}
-	if !terminal(j.State) {
+	if !j.State.Terminal() {
 		return nil, ErrNotFinished
 	}
 	if j.result == nil {
@@ -1050,7 +1040,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 	jctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	m.mu.Lock()
-	if terminal(j.State) {
+	if j.State.Terminal() {
 		// A client cancelled the job in the window between the executor
 		// popping it off the queue and this claim: the cancellation
 		// already wrote its final state and result — do not resurrect it.
@@ -1176,7 +1166,7 @@ func (m *Manager) finishJob(j *Job, outcomes []CellResult, err error) {
 			}
 		}
 	}
-	if terminal(j.State) {
+	if j.State.Terminal() {
 		now := time.Now()
 		j.Finished = &now
 		m.writeResultLocked(j)
@@ -1235,7 +1225,7 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (c
 	total := cfg.Strikes
 	cr := CellResult{Spec: spec, Key: campaign.CellKey(spec, cfg, ts)}
 	// The wire-facing Key stays the canonical content address (identical
-	// to a direct StreamRunner run's), but store accesses go through the
+	// to a RunDirect run's), but store accesses go through the
 	// tenant-prefixed key so namespaces never share dedup hits. The
 	// default tenant is unprefixed: pre-tenancy state directories keep
 	// their entries.

@@ -84,7 +84,7 @@ func waitState(t *testing.T, m *Manager, id string, want State) Snapshot {
 		if s.State == want {
 			return s
 		}
-		if terminal(s.State) && s.State != want {
+		if s.State.Terminal() && s.State != want {
 			t.Fatalf("job %s reached %s (err %q), want %s", id, s.State, s.Error, want)
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -113,21 +113,21 @@ func summariesJSON(t *testing.T, jr *JobResult) string {
 	return string(data)
 }
 
-// directSummaries runs the plan in-process through StreamRunner — the
+// directSummaries runs the plan in-process through RunDirect — the
 // reference the daemon must match byte for byte.
 func directSummaries(t *testing.T, p *campaign.Plan) string {
 	t.Helper()
-	res, err := (&campaign.StreamRunner{}).Run(context.Background(), p)
+	res, err := RunDirect(context.Background(), p)
 	if err != nil {
-		t.Fatalf("direct StreamRunner: %v", err)
+		t.Fatalf("direct run: %v", err)
 	}
-	return summariesJSON(t, ResultFromPlan("direct", res))
+	return summariesJSON(t, res)
 }
 
 // TestJobLifecycleAndStoreDedup submits the same plan twice: the first
 // job computes and populates the content-addressed store, the second is
 // served entirely from it, and both return summaries byte-identical to a
-// direct in-process StreamRunner run.
+// RunDirect run in-process.
 func TestJobLifecycleAndStoreDedup(t *testing.T) {
 	dir := t.TempDir()
 	m := newManager(t, dir)
@@ -149,7 +149,7 @@ func TestJobLifecycleAndStoreDedup(t *testing.T) {
 		t.Fatalf("first job: %d cells, cached=%v; want 1 uncached", len(r1.Cells), r1.Cells[0].Cached)
 	}
 	if got := summariesJSON(t, r1); got != want {
-		t.Errorf("cold-store summaries differ from direct StreamRunner run")
+		t.Errorf("cold-store summaries differ from RunDirect")
 	}
 
 	s2, err := m.Submit(smokePlan(120), 0)
@@ -165,7 +165,7 @@ func TestJobLifecycleAndStoreDedup(t *testing.T) {
 		t.Errorf("second job was not served from the store")
 	}
 	if got := summariesJSON(t, r2); got != want {
-		t.Errorf("warm-store summaries differ from direct StreamRunner run")
+		t.Errorf("warm-store summaries differ from RunDirect")
 	}
 
 	// Unfinished jobs refuse to produce a result; unknown jobs error.
@@ -431,6 +431,49 @@ func TestAdaptiveJob(t *testing.T) {
 	}
 	if cs := snap2.Cells[0]; cs.Strikes != 100 {
 		t.Errorf("cached adaptive cell status shows %d strikes, want 100", cs.Strikes)
+	}
+}
+
+// TestDaemonDoesNotReallocate pins the daemon's adaptive semantics on a
+// plan whose freed strikes the in-process Runner would re-deal: at a 0.08
+// target with three epochs, campaign.Runner grows dgemm to 450 strikes
+// from the pool the other cells free, but the daemon stops every cell on
+// its own, so dgemm ends at its planned 300 — exactly RunDirect's result,
+// the reference radcritd -oneshot prints.
+func TestDaemonDoesNotReallocate(t *testing.T) {
+	load := func() *campaign.Plan {
+		f, err := os.Open(filepath.Join("..", "..", "examples", "plans", "adaptive.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		p, err := campaign.LoadPlan(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Adaptive.TargetHalfWidth = 0.08
+		p.Adaptive.MaxEpochs = 3
+		return p
+	}
+	want := directSummaries(t, load())
+
+	m := newManager(t, t.TempDir())
+	m.Start()
+	defer drain(t, m)
+	s, err := m.Submit(load(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, s.ID, StateDone)
+	jr, err := m.Result(s.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := summariesJSON(t, jr); got != want {
+		t.Errorf("daemon summaries differ from RunDirect:\n%s\nvs\n%s", got, want)
+	}
+	if dgemm := jr.Cells[0]; dgemm.Info == nil || dgemm.Info.Strikes != 300 {
+		t.Errorf("dgemm recorded %+v, want 300 strikes (no reallocation)", dgemm.Info)
 	}
 }
 

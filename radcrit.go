@@ -17,7 +17,7 @@
 //	plan := radcrit.NewPlan(42, 500).
 //		WithKernelOnDevices("dgemm:1024", "k40", "phi").
 //		WithThresholds(0, 2)
-//	res, err := radcrit.NewStreamRunner().Run(ctx, plan)
+//	res, err := radcrit.NewRunner().Run(ctx, plan)
 //	if err != nil { ... }
 //	for _, cell := range res.Cells {
 //		fmt.Println(cell.Info.Device, cell.Summary.SDCFIT)
@@ -104,7 +104,8 @@ type (
 	Plan = campaign.Plan
 	// CellSpec names one plan cell by registry names.
 	CellSpec = campaign.CellSpec
-	// Runner executes a validated plan under a context.
+	// Runner executes a validated plan under a context, cell by cell
+	// through the streaming engine; set Logs for per-cell checkpoint logs.
 	Runner = campaign.Runner
 	// PlanResult is a Runner's per-cell record of one plan execution.
 	PlanResult = campaign.PlanResult
@@ -113,8 +114,6 @@ type (
 	// Summary is a cell's statistics under the plan's thresholds,
 	// bit-identical to the same statistics of a retained Result.
 	Summary = campaign.Summary
-	// Progress carries a Runner's optional OnCell/OnChunk hooks.
-	Progress = campaign.Progress
 	// AdaptiveSpec configures sequential early stopping: stop a cell once
 	// the anytime-valid confidence interval for its SDC proportion is
 	// tighter than the target half-width (attach with Plan.WithAdaptive).
@@ -184,18 +183,13 @@ func LoadPlan(r io.Reader) (*Plan, error) { return campaign.LoadPlan(r) }
 // SavePlan validates p and writes it as indented JSON.
 func SavePlan(w io.Writer, p *Plan) error { return campaign.SavePlan(w, p) }
 
-// NewStreamRunner returns the bounded-memory streaming engine as a
-// Runner: summaries come from online reducers and no reports are
-// retained.
-func NewStreamRunner() *campaign.StreamRunner { return &campaign.StreamRunner{} }
-
-// NewAdaptiveRunner returns the early-stopping campaign engine as a
-// Runner: cells of a plan carrying an AdaptiveSpec stop as soon as their
-// confidence target is met, freed strikes are re-dealt to the cells with
-// the widest intervals, and every summary stays byte-identical to a
-// straight run with the same consumed strike count. Plans without a spec
-// delegate to the streaming engine unchanged.
-func NewAdaptiveRunner() *campaign.AdaptiveRunner { return &campaign.AdaptiveRunner{} }
+// NewRunner returns the plan runner: summaries come from online reducers
+// and no reports are retained. Cells of a plan carrying an AdaptiveSpec
+// stop as soon as their confidence target is met, freed strikes are
+// re-dealt to the cells with the widest intervals, and every summary
+// stays byte-identical to a straight run with the same consumed strike
+// count.
+func NewRunner() *Runner { return &campaign.Runner{} }
 
 // RegisterDevice registers a device factory under name, making it
 // addressable from plans and every cmd/ tool.

@@ -12,8 +12,8 @@ import (
 
 // TestPlanFacadeEndToEnd drives the declarative surface exactly as a
 // third-party consumer would: build a plan fluently, serialise it, load
-// it back, run it with progress hooks, and check every summary against
-// the retained per-cell path.
+// it back, run it, and check every summary against the retained
+// per-cell path.
 func TestPlanFacadeEndToEnd(t *testing.T) {
 	plan := radcrit.NewPlan(42, 120).
 		Named("facade-e2e").
@@ -30,15 +30,9 @@ func TestPlanFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("LoadPlan: %v", err)
 	}
 
-	var cells int
-	stream := radcrit.NewStreamRunner()
-	stream.Progress = radcrit.Progress{OnCell: func(int, *radcrit.CellOutcome) { cells++ }}
-	sres, err := stream.Run(context.Background(), loaded)
+	sres, err := radcrit.NewRunner().Run(context.Background(), loaded)
 	if err != nil {
 		t.Fatalf("stream run: %v", err)
-	}
-	if cells != 2 {
-		t.Errorf("OnCell fired %d times", cells)
 	}
 	built, err := loaded.Build()
 	if err != nil {
@@ -67,12 +61,8 @@ func TestFacadeRejectsInvalidPlans(t *testing.T) {
 		t.Errorf("LoadPlan accepted a non-tile DGEMM size")
 	}
 	bad := radcrit.NewPlan(1, 0).WithCell("k40", "dgemm:128")
-	for name, r := range map[string]radcrit.Runner{
-		"stream": radcrit.NewStreamRunner(),
-	} {
-		if _, err := r.Run(context.Background(), bad); err == nil {
-			t.Errorf("%s runner accepted a zero-strike plan", name)
-		}
+	if _, err := radcrit.NewRunner().Run(context.Background(), bad); err == nil {
+		t.Errorf("runner accepted a zero-strike plan")
 	}
 	if _, err := radcrit.NewKernel("clamr:1x1"); err == nil {
 		t.Errorf("NewKernel accepted an invalid CLAMR config")
@@ -84,7 +74,7 @@ func TestFacadeCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	plan := radcrit.NewPlan(1, 50).WithCell("k40", "dgemm:128")
-	if _, err := radcrit.NewStreamRunner().Run(ctx, plan); !errors.Is(err, context.Canceled) {
+	if _, err := radcrit.NewRunner().Run(ctx, plan); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled facade run returned %v", err)
 	}
 }
