@@ -69,7 +69,7 @@ func main() {
 			fmt.Printf("  locality: %v (the paper: square errors amount to 99%%)\n", rep.Locality())
 			fmt.Printf("  max mass drift: %.3g relative (threshold %.3g) -> DETECTED\n\n",
 				det.MaxMassDriftRel, kern.MassCheckThresholdRel())
-		case !det.MassCheckFired && !escaped && rep.Filter(2).Count() > 0:
+		case !det.MassCheckFired && !escaped && rep.SDCAbove(2):
 			escaped = true
 			fmt.Println("momentum-word corruption (mass conserved):")
 			fmt.Printf("  incorrect elements at output: %d (%d above 2%%)\n",
@@ -96,7 +96,7 @@ func main() {
 			continue
 		}
 		r, d := kern.RunInjectedDetailed(dev, syn.Injection, sub)
-		if r.Filter(2).Count() == 0 {
+		if !r.SDCAbove(2) {
 			continue
 		}
 		stats.Add(d.MassCheckFired)

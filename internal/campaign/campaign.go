@@ -155,7 +155,7 @@ func RunCtx(ctx context.Context, dev arch.Device, kern kernels.Kernel, cfg Confi
 func (r *Result) SDCFIT(thresholdPct float64) float64 {
 	count := 0
 	for _, rep := range r.Reports {
-		if thresholdPct <= 0 || rep.Filter(thresholdPct).IsSDC() {
+		if thresholdPct <= 0 || rep.SDCAbove(thresholdPct) {
 			count++
 		}
 	}
@@ -222,7 +222,7 @@ func (r *Result) FilteredFraction(thresholdPct float64) float64 {
 	}
 	cleared := 0
 	for _, rep := range r.Reports {
-		if !rep.Filter(thresholdPct).IsSDC() {
+		if !rep.SDCAbove(thresholdPct) {
 			cleared++
 		}
 	}

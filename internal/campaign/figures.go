@@ -352,7 +352,7 @@ func BuildMassCheckCoverage(dev arch.Device, s Scale, cfg Config, thresholdPct f
 			return
 		}
 		rep, det := k.RunInjectedDetailedOn(golden, syn.Injection, sub)
-		if !rep.Filter(thresholdPct).IsSDC() {
+		if !rep.SDCAbove(thresholdPct) {
 			return
 		}
 		verdicts[i] = verdict{critical: true, fired: det.MassCheckFired}

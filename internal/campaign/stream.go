@@ -163,14 +163,20 @@ func RunStreamingFromCtx(ctx context.Context, dev arch.Device, kern kernels.Kern
 			// sinks keep their chunk-aligned prefix.
 			return info, err
 		}
+		// Recycle the chunk's reports into the session pool once the sinks
+		// have consumed them (Sink contract), so the next chunk's strikes
+		// reuse their memory instead of allocating afresh. The last chunk's
+		// reports go to the GC instead: no later strike can reuse them, and
+		// a pooled report outlives its session by two GC cycles, long
+		// enough to overlap the next cell's working set.
+		recycle := base+n < cfg.Strikes
 		for j := 0; j < n; j++ {
 			for _, s := range sinks {
 				s.Consume(base+j, buf[j])
 			}
-			// Recycle the report into the session pool: the sinks have
-			// consumed it (Sink contract), so the next chunk's strikes
-			// reuse its memory instead of allocating afresh.
-			ses.ReleaseReport(buf[j].Report)
+			if recycle {
+				ses.ReleaseReport(buf[j].Report)
+			}
 			buf[j] = injector.Outcome{}
 		}
 		for _, s := range sinks {
@@ -264,7 +270,7 @@ func (r *SDCCountReducer) Consume(_ int, out injector.Outcome) {
 		return
 	}
 	for k, t := range r.Thresholds {
-		if t <= 0 || out.Report.Filter(t).IsSDC() {
+		if t <= 0 || out.Report.SDCAbove(t) {
 			r.Counts[k]++
 		}
 	}
@@ -277,10 +283,15 @@ func (r *SDCCountReducer) FIT(k int, exp beam.Exposure) float64 {
 }
 
 // LocalityReducer accumulates the spatial-pattern counts of critical SDCs
-// — the streaming counterpart of Result.LocalityBreakdown.
+// — the streaming counterpart of Result.LocalityBreakdown. It classifies
+// each SDC's above-threshold mismatches in place, through a Classifier
+// whose buffer it owns and reuses, so a warmed reducer allocates nothing
+// per strike.
 type LocalityReducer struct {
 	ThresholdPct float64
 	Counts       map[metrics.Pattern]int
+
+	cls metrics.Classifier
 }
 
 // NewLocalityReducer returns a reducer under the given filter
@@ -294,14 +305,9 @@ func (r *LocalityReducer) Consume(_ int, out injector.Outcome) {
 	if out.Class != fault.SDC {
 		return
 	}
-	eff := out.Report
-	if r.ThresholdPct > 0 {
-		eff = eff.Filter(r.ThresholdPct)
+	if p := r.cls.Locality(out.Report, r.ThresholdPct); p != metrics.NoPattern {
+		r.Counts[p]++
 	}
-	if !eff.IsSDC() {
-		return
-	}
-	r.Counts[eff.Locality()]++
 }
 
 // Breakdown renders the accumulated counts as the FIT breakdown of
@@ -335,7 +341,7 @@ func (r *FilteredFractionReducer) Consume(_ int, out injector.Outcome) {
 		return
 	}
 	r.SDCs++
-	if !out.Report.Filter(r.ThresholdPct).IsSDC() {
+	if !out.Report.SDCAbove(r.ThresholdPct) {
 		r.Cleared++
 	}
 }

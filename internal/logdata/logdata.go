@@ -146,22 +146,82 @@ func writeHeader(bw *bufio.Writer, l *Log) {
 }
 
 // writeEvent emits one event's lines (shared by Write and StreamWriter).
+// It is the campaign engine's per-strike logging cost — a checkpointed
+// cell writes one #ERR line per corrupted element on its serial consume
+// loop — so the #SDC and #ERR lines are appended straight into the
+// writer's free buffer with strconv, allocating nothing. Their bytes are
+// exactly what fmt's %d and %s verbs with FormatFloat(v, 'x', -1, 64)
+// produce (frozen in encode_test.go). The rare crash and hang lines keep
+// fmt.
 func writeEvent(bw *bufio.Writer, e Event) {
 	switch e.Class {
 	case fault.SDC:
-		fmt.Fprintf(bw, "#SDC exec:%d resource:%s scope:%s count:%d\n",
-			e.Exec, field(e.Resource), field(e.Scope), len(e.Mismatches))
+		b := room(bw, maxSDCLine+len(e.Resource)+len(e.Scope))
+		b = append(b, "#SDC exec:"...)
+		b = strconv.AppendInt(b, int64(e.Exec), 10)
+		b = append(b, " resource:"...)
+		b = appendField(b, e.Resource)
+		b = append(b, " scope:"...)
+		b = appendField(b, e.Scope)
+		b = append(b, " count:"...)
+		b = strconv.AppendInt(b, int64(len(e.Mismatches)), 10)
+		bw.Write(append(b, '\n'))
 		for _, m := range e.Mismatches {
-			fmt.Fprintf(bw, "#ERR x:%d y:%d z:%d read:%s expected:%s\n",
-				m.Coord.X, m.Coord.Y, m.Coord.Z,
-				strconv.FormatFloat(m.Read, 'x', -1, 64),
-				strconv.FormatFloat(m.Expected, 'x', -1, 64))
+			b := room(bw, maxERRLine)
+			b = append(b, "#ERR x:"...)
+			b = strconv.AppendInt(b, int64(m.Coord.X), 10)
+			b = append(b, " y:"...)
+			b = strconv.AppendInt(b, int64(m.Coord.Y), 10)
+			b = append(b, " z:"...)
+			b = strconv.AppendInt(b, int64(m.Coord.Z), 10)
+			b = append(b, " read:"...)
+			b = strconv.AppendFloat(b, m.Read, 'x', -1, 64)
+			b = append(b, " expected:"...)
+			b = strconv.AppendFloat(b, m.Expected, 'x', -1, 64)
+			bw.Write(append(b, '\n'))
 		}
 	case fault.Crash:
 		fmt.Fprintf(bw, "#CRASH exec:%d resource:%s\n", e.Exec, field(e.Resource))
 	case fault.Hang:
 		fmt.Fprintf(bw, "#HANG exec:%d resource:%s\n", e.Exec, field(e.Resource))
 	}
+}
+
+// Line-length bounds for the in-place encoder: the longest decimal int
+// and the longest 'x'-format float64 (a full mantissa with a four-digit
+// exponent; NaN and ±Inf are shorter).
+const (
+	maxIntLen   = len("-9223372036854775808")
+	maxFloatLen = len("-0x1.fffffffffffffp-1074")
+	// maxSDCLine excludes the resource and scope text, which callers add.
+	maxSDCLine = len("#SDC exec: resource:- scope:- count:\n") + 2*maxIntLen
+	maxERRLine = len("#ERR x: y: z: read: expected:\n") + 3*maxIntLen + 2*maxFloatLen
+)
+
+// room returns bw's free buffer for an in-place append, flushing first
+// when fewer than n bytes are free so that a line of at most n bytes
+// fits without allocating. A longer line, or one after a failed flush,
+// still encodes correctly: append then grows a fresh slice.
+func room(bw *bufio.Writer, n int) []byte {
+	if bw.Available() < n {
+		bw.Flush() // an error sticks in bw and surfaces at the next checked Flush
+	}
+	return bw.AvailableBuffer()
+}
+
+// appendField appends field(s) to b without building the escaped string.
+func appendField(b []byte, s string) []byte {
+	if s == "" {
+		return append(b, '-')
+	}
+	n := len(b)
+	b = append(b, s...)
+	for i := n; i < len(b); i++ {
+		if b[i] == ' ' {
+			b[i] = '_'
+		}
+	}
+	return b
 }
 
 // writeEpoch emits one #EPOCH budget record. The half-width uses hex

@@ -250,6 +250,20 @@ func (r *Report) Filter(thresholdPct float64) *Report {
 	return out
 }
 
+// SDCAbove reports whether any mismatch has relative error strictly
+// greater than thresholdPct — exactly r.Filter(thresholdPct).IsSDC(),
+// without copying the surviving mismatches. It is the one way to ask
+// "is this execution still an SDC under the filter" when the filtered
+// report itself is not needed.
+func (r *Report) SDCAbove(thresholdPct float64) bool {
+	for _, m := range r.Mismatches {
+		if m.RelErrPct > thresholdPct {
+			return true
+		}
+	}
+	return false
+}
+
 // CorruptedFraction returns the fraction of output elements corrupted.
 func (r *Report) CorruptedFraction() float64 {
 	if r.TotalElements == 0 {

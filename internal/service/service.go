@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -1311,6 +1312,12 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (c
 			localMu.Lock()
 			prev, _ := os.ReadFile(logPath)
 			info, sum, resumed, runErr = runLogged(jctx, logPath, prev, cell, cfg, ts, sinks)
+			// The finished cell's working set (a chunk of SDC reports, and
+			// for DGEMM and LavaMD its golden state) is garbage now. The
+			// engine's consume loop allocates nothing, so no collection
+			// would run before the next cell builds its own on top of it:
+			// collect here, so the daemon holds one cell's working set.
+			runtime.GC()
 			localMu.Unlock()
 		}
 	}
