@@ -53,6 +53,7 @@ import (
 	"radcrit/internal/api"
 	"radcrit/internal/cli"
 	"radcrit/internal/fleet"
+	"radcrit/internal/registry"
 	"radcrit/internal/scratch"
 	"radcrit/internal/service"
 	"radcrit/internal/store"
@@ -104,6 +105,7 @@ func main() {
 	metrics := telemetry.NewRegistry()
 	telemetry.RegisterBuildInfo(metrics, "radcrit_build_info", cli.Version())
 	scratch.RegisterMetrics(metrics)
+	registry.RegisterMetrics(metrics)
 	opts := service.Options{
 		StateDir:  *state,
 		Executors: *executors,
@@ -230,6 +232,7 @@ func runWorker(base, name string, throttle time.Duration, metricsAddr string) {
 		metrics := telemetry.NewRegistry()
 		telemetry.RegisterBuildInfo(metrics, "radcrit_build_info", cli.Version())
 		scratch.RegisterMetrics(metrics)
+		registry.RegisterMetrics(metrics)
 		em = service.NewEngineMetrics(metrics)
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", metrics.Handler())

@@ -80,9 +80,10 @@ func CLAMRConfig(s Scale) (side, steps int) {
 	return 48, 60
 }
 
-// Iterative kernels carry precomputed golden state; the registry memoises
-// them per configuration, so a preset-built kernel and a plan cell naming
-// the same configuration share one golden timeline.
+// Iterative kernels carry precomputed golden state; the registry's
+// instance cache holds them per configuration, so a preset-built kernel
+// and a plan cell naming the same configuration share one golden
+// timeline.
 
 // HotSpotKernel returns the cached HotSpot instance for the scale.
 func HotSpotKernel(s Scale) *hotspot.Kernel {

@@ -125,6 +125,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case item != nil:
 			backoff = 250 * time.Millisecond
 			w.runItem(ctx, item)
+			service.ReleaseCellMemory()
 		case status == http.StatusNoContent:
 			backoff = 250 * time.Millisecond
 			if !sleepCtx(ctx, w.jitter(w.poll)) {

@@ -162,7 +162,19 @@ func (g *goldenTimeline) stateAt(t int) *state {
 
 // Golden implements kernels.Kernel. The handle is device-independent:
 // CLAMR's golden timeline depends only on the input configuration.
-func (k *Kernel) Golden(dev arch.Device) kernels.GoldenState {
+func (k *Kernel) Golden(dev arch.Device) kernels.GoldenState { return k.timeline() }
+
+// GoldenBytes reports the golden state this instance holds: the snapshot
+// timeline and final heights built by New, plus every memoised per-step
+// state. It grows as strikes land on new timesteps.
+func (k *Kernel) GoldenBytes() int64 {
+	cells := int64(k.side * k.side)
+	state := 3 * cells * 8
+	return state*int64(len(k.snaps)+k.timeline().states.Len()) + cells*8
+}
+
+// timeline returns the golden-state handle, creating it on first use.
+func (k *Kernel) timeline() *goldenTimeline {
 	k.handleOnce.Do(func() {
 		n := k.side * k.side
 		k.handle = &goldenTimeline{

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"radcrit/internal/arch"
 	"radcrit/internal/grid"
@@ -37,6 +38,8 @@ type Kernel struct {
 
 	goldenOnce sync.Once
 	golden     *goldenProduct
+	// goldenBytes counts the golden rows and columns published so far.
+	goldenBytes atomic.Int64
 }
 
 var _ kernels.Kernel = (*Kernel)(nil)
@@ -166,6 +169,11 @@ func (k *Kernel) Golden(dev arch.Device) kernels.GoldenState {
 	return k.golden
 }
 
+// GoldenBytes reports the golden state this instance holds: the product
+// rows and columns materialised so far. It grows as strikes touch new
+// rows, up to the full product (2*N^2 floats).
+func (k *Kernel) GoldenBytes() int64 { return k.goldenBytes.Load() }
+
 // row returns golden row i of C, computing and caching it on demand.
 func (g *goldenProduct) row(i int) []float64 {
 	if row, ok := g.rows.Load(i); ok {
@@ -180,7 +188,10 @@ func (g *goldenProduct) row(i int) []float64 {
 			row[j] += a * g.k.B(kk, j)
 		}
 	}
-	v, _ := g.rows.LoadOrStore(i, row)
+	v, loaded := g.rows.LoadOrStore(i, row)
+	if !loaded {
+		g.k.goldenBytes.Add(int64(n) * 8)
+	}
 	return v.([]float64)
 }
 
@@ -197,7 +208,10 @@ func (g *goldenProduct) col(j int) []float64 {
 			col[i] += g.k.A(i, kk) * b
 		}
 	}
-	v, _ := g.cols.LoadOrStore(j, col)
+	v, loaded := g.cols.LoadOrStore(j, col)
+	if !loaded {
+		g.k.goldenBytes.Add(int64(n) * 8)
+	}
 	return v.([]float64)
 }
 

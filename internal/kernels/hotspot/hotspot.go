@@ -96,7 +96,19 @@ func (g *goldenTimeline) stateAt(it int) []float32 {
 
 // Golden implements kernels.Kernel. The handle is device-independent:
 // HotSpot's golden timeline depends only on the input configuration.
-func (k *Kernel) Golden(dev arch.Device) kernels.GoldenState {
+func (k *Kernel) Golden(dev arch.Device) kernels.GoldenState { return k.timeline() }
+
+// GoldenBytes reports the golden state this instance holds: the power
+// map, snapshot timeline and final field built by New, plus every
+// memoised per-iteration state. It grows as strikes land on new
+// iterations.
+func (k *Kernel) GoldenBytes() int64 {
+	field := int64(k.side*k.side) * 4
+	return field * int64(2+len(k.golden)+k.timeline().states.Len())
+}
+
+// timeline returns the golden-state handle, creating it on first use.
+func (k *Kernel) timeline() *goldenTimeline {
 	k.handleOnce.Do(func() {
 		n := k.side * k.side
 		k.handle = &goldenTimeline{

@@ -157,6 +157,10 @@ type TimelineMemo[T any] struct {
 // distinct injection step of a test-scale campaign.
 const timelineMemoCap = 96
 
+// Len returns how many states the memo holds. It counts publications, so
+// a kernel's golden footprint (GoldenBytes) reads it without a lock.
+func (m *TimelineMemo[T]) Len() int { return int(m.cached.Load()) }
+
 // At returns the memoised state for step t, computing it on a miss.
 func (m *TimelineMemo[T]) At(t int, compute func(int) T) T {
 	if v, ok := m.states.Load(t); ok {

@@ -45,6 +45,9 @@ type Kernel struct {
 	// handles memoises golden-state handles per particles-per-box count
 	// (the only device-dependent parameter of LavaMD's golden state).
 	handles sync.Map // int -> *goldenHandle
+	// goldenBytes counts the golden-sum table state published so far
+	// across every handle: neighbour lists, box states and potentials.
+	goldenBytes atomic.Int64
 }
 
 // goldenHandle is LavaMD's golden-state handle: the device's particle
@@ -123,9 +126,18 @@ func (k *Kernel) handleFor(p int) *goldenHandle {
 	}
 	h := &goldenHandle{k: k, p: p, tab: k.newGoldenTab(p),
 		scr: scratch.NewNamedPool("lavamd.run", func() *runScratch { return &runScratch{} })}
-	v, _ := k.handles.LoadOrStore(p, h)
+	v, loaded := k.handles.LoadOrStore(p, h)
+	if !loaded {
+		t := h.tab
+		k.goldenBytes.Add(int64(len(t.nbrOff)+len(t.nbrBoxes))*4 + int64(len(t.boxes))*16)
+	}
 	return v.(*goldenHandle)
 }
+
+// GoldenBytes reports the golden state this instance holds: each
+// handle's neighbour lists plus the box states and potential columns
+// built so far. It grows as strikes touch new boxes.
+func (k *Kernel) GoldenBytes() int64 { return k.goldenBytes.Load() }
 
 var _ kernels.Kernel = (*Kernel)(nil)
 var _ kernels.BatchRunner = (*Kernel)(nil)
@@ -280,6 +292,7 @@ func (t *goldenTab) buildState(bi int) *boxState {
 	if !t.boxes[bi].st.CompareAndSwap(nil, s) {
 		return t.boxes[bi].st.Load()
 	}
+	t.k.goldenBytes.Add(int64(t.p) * ParticleWords * 8)
 	return s
 }
 
@@ -319,6 +332,7 @@ func (t *goldenTab) buildPot(bi int) *[]float64 {
 	if !t.boxes[bi].pot.CompareAndSwap(nil, &pot) {
 		return t.boxes[bi].pot.Load()
 	}
+	t.k.goldenBytes.Add(int64(t.p) * 8)
 	return &pot
 }
 

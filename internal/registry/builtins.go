@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"radcrit/internal/arch"
 	"radcrit/internal/k40"
@@ -39,7 +38,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return dgemm.New(n), nil
+			return cached(fmt.Sprintf("dgemm:%d", n), func() *dgemm.Kernel { return dgemm.New(n) }), nil
 		},
 	})
 	RegisterKernel("lavamd", KernelEntry{
@@ -56,7 +55,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return lavamd.New(g), nil
+			return cached(fmt.Sprintf("lavamd:%d", g), func() *lavamd.Kernel { return lavamd.New(g) }), nil
 		},
 	})
 	RegisterKernel("hotspot", KernelEntry{
@@ -122,36 +121,14 @@ func pairParam(params, shape string) (a, b int, err error) {
 	return a, b, nil
 }
 
-// The iterative kernels run a golden simulation at construction, so their
-// instances are memoised per configuration: every consumer of one
-// configuration — plans, presets, CLI flags — shares one golden timeline.
-var (
-	hotspotCache sync.Map // "side/iters" -> *hotspot.Kernel
-	clamrCache   sync.Map // "side/steps" -> *clamr.Kernel
-)
-
-// HotSpot returns the memoised HotSpot instance for (side, iters).
+// HotSpot returns the cached HotSpot instance for (side, iters): presets,
+// plan cells and CLI specs naming one configuration share one golden
+// timeline.
 func HotSpot(side, iters int) *hotspot.Kernel {
-	key := fmt.Sprintf("%d/%d", side, iters)
-	if v, ok := hotspotCache.Load(key); ok {
-		return v.(*hotspot.Kernel)
-	}
-	k := hotspot.New(side, iters)
-	if v, loaded := hotspotCache.LoadOrStore(key, k); loaded {
-		return v.(*hotspot.Kernel)
-	}
-	return k
+	return cached(fmt.Sprintf("hotspot:%dx%d", side, iters), func() *hotspot.Kernel { return hotspot.New(side, iters) })
 }
 
-// CLAMR returns the memoised CLAMR instance for (side, steps).
+// CLAMR returns the cached CLAMR instance for (side, steps).
 func CLAMR(side, steps int) *clamr.Kernel {
-	key := fmt.Sprintf("%d/%d", side, steps)
-	if v, ok := clamrCache.Load(key); ok {
-		return v.(*clamr.Kernel)
-	}
-	k := clamr.New(side, steps)
-	if v, loaded := clamrCache.LoadOrStore(key, k); loaded {
-		return v.(*clamr.Kernel)
-	}
-	return k
+	return cached(fmt.Sprintf("clamr:%dx%d", side, steps), func() *clamr.Kernel { return clamr.New(side, steps) })
 }

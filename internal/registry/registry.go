@@ -34,10 +34,10 @@ type KernelEntry struct {
 	// golden state. An empty params string is valid only for families
 	// with a default configuration.
 	Validate func(params string) error
-	// Make constructs the kernel; it may be expensive (the iterative
-	// kernels run their golden simulation here). Make must not panic:
-	// NewKernel additionally converts any escaped panic into an error,
-	// but a well-behaved entry returns one directly.
+	// Make constructs the kernel, or returns a cached instance; it may be
+	// expensive (the iterative kernels run their golden simulation here).
+	// Make must not panic: NewKernel additionally converts any escaped
+	// panic into an error, but a well-behaved entry returns one directly.
 	Make func(params string) (kernels.Kernel, error)
 	// Help is a one-line description of the family and its params shape
 	// ("matrix side N, e.g. dgemm:1024") for discovery surfaces: CLI
@@ -113,10 +113,9 @@ var (
 // RegisterDevice registers a device factory under name. Registering an
 // existing name replaces it (last registration wins), letting tests and
 // plugins shadow a built-in — but only before any campaign has run:
-// the result store and the iterative-kernel instance caches are
-// keyed by name strings and are never invalidated by re-registration,
-// so results computed before the shadowing would be served afterwards.
-// Register at init time, as the built-ins do.
+// the result store is keyed by name strings and is never invalidated by
+// re-registration, so results computed before the shadowing would be
+// served afterwards. Register at init time, as the built-ins do.
 func RegisterDevice(name string, f DeviceFactory) {
 	RegisterDeviceInfo(name, "", f)
 }
@@ -134,10 +133,12 @@ func RegisterDeviceInfo(name, help string, f DeviceFactory) {
 
 // RegisterKernel registers a kernel family under name. Registering an
 // existing name replaces it, under the same register-before-running
-// caveat as RegisterDevice; note also that the campaign scale presets
-// construct the built-in iterative kernels directly (registry.HotSpot /
-// registry.CLAMR), so shadowing "hotspot"/"clamr" affects plan cells and
-// CLI specs but not preset-driven figure builders.
+// caveat as RegisterDevice. A replacement's Make runs on every lookup:
+// only the built-in entries go through the golden-state instance cache
+// (cache.go). The campaign scale presets take the built-in iterative
+// kernels from that cache directly (registry.HotSpot / registry.CLAMR),
+// so shadowing "hotspot"/"clamr" affects plan cells and CLI specs but not
+// preset-driven figure builders.
 func RegisterKernel(name string, e KernelEntry) {
 	if name == "" || e.Make == nil {
 		panic("registry: RegisterKernel with empty name or nil Make")
@@ -295,11 +296,13 @@ func ValidateKernel(spec string) error {
 	return nil
 }
 
-// NewKernel constructs the kernel described by spec ("dgemm:1024",
-// "lavamd:19", "hotspot:1024x400", "clamr:512x600"). Construction may be
-// expensive for iterative kernels; built-ins memoise those per
-// configuration. A panic escaping a factory is converted to an error so
-// no registry misuse can take down a campaign driver.
+// NewKernel resolves the kernel described by spec ("dgemm:1024",
+// "lavamd:19", "hotspot:1024x400", "clamr:512x600"). The built-ins come
+// from one bounded cache of instances keyed by canonical spec, so every
+// lookup of one configuration shares its golden state until the cache
+// evicts it; a miss builds the instance, which for the iterative kernels
+// runs their golden simulation. A panic escaping a factory is converted
+// to an error so no registry misuse can take down a campaign driver.
 func NewKernel(spec string) (k kernels.Kernel, err error) {
 	name, params := SplitSpec(spec)
 	mu.RLock()

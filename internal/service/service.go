@@ -34,7 +34,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -167,6 +167,18 @@ func RunDirect(ctx context.Context, p *campaign.Plan) (*JobResult, error) {
 	}
 	return jr, errors.Join(errs...)
 }
+
+// ReleaseCellMemory collects a finished cell's working set and returns
+// the freed pages to the OS. Every executor of plan cells (the daemon's
+// local path, the fleet worker) calls it after each cell. The working set
+// is a chunk of SDC reports and the strike scratch; the cell's golden
+// state is not in it, because it stays live in the registry's instance
+// cache (DESIGN.md §7). The engine's consume loop allocates nothing, so no
+// collection would run before the next cell builds on top of the garbage,
+// and under GOGC=100 a collected heap still keeps about twice its live
+// size resident. Returning the pages here keeps resident memory near the
+// live heap: cached golden state plus one cell.
+func ReleaseCellMemory() { debug.FreeOSMemory() }
 
 // StoreRecord is the content-addressed store's entry payload.
 type StoreRecord struct {
@@ -1312,12 +1324,7 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (c
 			localMu.Lock()
 			prev, _ := os.ReadFile(logPath)
 			info, sum, resumed, runErr = runLogged(jctx, logPath, prev, cell, cfg, ts, sinks)
-			// The finished cell's working set (a chunk of SDC reports, and
-			// for DGEMM and LavaMD its golden state) is garbage now. The
-			// engine's consume loop allocates nothing, so no collection
-			// would run before the next cell builds its own on top of it:
-			// collect here, so the daemon holds one cell's working set.
-			runtime.GC()
+			ReleaseCellMemory()
 			localMu.Unlock()
 		}
 	}

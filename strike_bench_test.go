@@ -11,7 +11,13 @@
 //     worst-case per-strike cost and the target of the pooled scratch
 //     arenas (ISSUE 4: >=2x on the iterative kernels).
 //
-// Run with: go test -bench='Strike|Injected' -benchmem -run='^$' .
+// Both are warm numbers: every strike the timed loop visits runs once
+// before the timer starts, so no lazily built golden state (DGEMM rows,
+// LavaMD box tables, HotSpot and CLAMR timeline states) is built inside
+// it. BenchmarkGolden<Kernel> is the cold number the registry's instance
+// cache saves: a fresh instance and its first strikes.
+//
+// Run with: go test -bench='Strike|Injected|Golden' -benchmem -run='^$' .
 package radcrit
 
 import (
@@ -42,6 +48,15 @@ func strikeAt(rng *xrand.RNG, i uint64) (fault.Strike, *xrand.RNG) {
 	return fault.Strike{When: sub.Float64(), Energy: beam.StrikeEnergy(sub)}, sub
 }
 
+// prewarm runs each listed strike once, completing the golden state and
+// the session pools the timed loop will touch.
+func prewarm(ses *injector.Session, rng *xrand.RNG, idxs []uint64) {
+	for _, i := range idxs {
+		strike, sub := strikeAt(rng, i)
+		releaseOutcome(ses, ses.RunOne(strike, sub))
+	}
+}
+
 // benchStrikeMix measures the full strike population through a session.
 func benchStrikeMix(b *testing.B, dev arch.Device, kern kernels.Kernel) {
 	ses, err := injector.NewSession(dev, kern)
@@ -49,11 +64,11 @@ func benchStrikeMix(b *testing.B, dev arch.Device, kern kernels.Kernel) {
 		b.Fatal(err)
 	}
 	rng := xrand.New(42)
-	// Warm the golden-state handle and the session pools.
-	for i := uint64(0); i < 64; i++ {
-		strike, sub := strikeAt(rng, i)
-		releaseOutcome(ses, ses.RunOne(strike, sub))
+	visited := make([]uint64, min(b.N, strikeCycle))
+	for i := range visited {
+		visited[i] = uint64(i)
 	}
+	prewarm(ses, rng, visited)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,11 +98,7 @@ func benchInjected(b *testing.B, dev arch.Device, kern kernels.Kernel) {
 	if len(idxs) == 0 {
 		b.Fatal("no SDC syndromes in probe window")
 	}
-	// Warm pools and golden caches over the corpus once.
-	for _, i := range idxs {
-		strike, sub := strikeAt(rng, i)
-		releaseOutcome(ses, ses.RunOne(strike, sub))
-	}
+	prewarm(ses, rng, idxs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,7 +143,8 @@ func benchInjectedBatch(b *testing.B, dev arch.Device, kern kernels.Kernel) {
 			outs[j] = injector.Outcome{}
 		}
 	}
-	runSpan(0, batchSpan) // warm pools and golden tables
+	prewarm(ses, rng, idxs)
+	runSpan(0, batchSpan) // warm the batch path's pooled reports
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batchSpan {
@@ -156,6 +168,41 @@ func BenchmarkInjectedBatchHotSpot(b *testing.B) {
 	benchInjectedBatch(b, k40.New(), hotspot.New(64, 80))
 }
 func BenchmarkInjectedBatchCLAMR(b *testing.B) { benchInjectedBatch(b, phi.New(), clamr.New(48, 60)) }
+
+// goldenStrikes is how many strikes a cold golden bench runs on its
+// fresh instance.
+const goldenStrikes = 32
+
+// benchGolden measures the cold cost per cell: build a fresh instance and
+// run its first goldenStrikes strikes of the full population, paying
+// every eager and lazy golden-state build they need.
+func benchGolden(b *testing.B, dev arch.Device, build func() kernels.Kernel) {
+	rng := xrand.New(42)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ses, err := injector.NewSession(dev, build())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := uint64(0); j < goldenStrikes; j++ {
+			strike, sub := strikeAt(rng, j)
+			releaseOutcome(ses, ses.RunOne(strike, sub))
+		}
+	}
+}
+
+func BenchmarkGoldenDGEMM(b *testing.B) {
+	benchGolden(b, k40.New(), func() kernels.Kernel { return dgemm.New(256) })
+}
+func BenchmarkGoldenLavaMD(b *testing.B) {
+	benchGolden(b, k40.New(), func() kernels.Kernel { return lavamd.New(5) })
+}
+func BenchmarkGoldenHotSpot(b *testing.B) {
+	benchGolden(b, k40.New(), func() kernels.Kernel { return hotspot.New(64, 80) })
+}
+func BenchmarkGoldenCLAMR(b *testing.B) {
+	benchGolden(b, phi.New(), func() kernels.Kernel { return clamr.New(48, 60) })
+}
 
 // releaseOutcome returns an outcome's report to the session pool, modeling
 // the streaming engine's per-strike release.
