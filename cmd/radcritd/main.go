@@ -3,8 +3,8 @@
 // priority/FIFO queue, streams them through the campaign engine with
 // live progress, deduplicates identical cells through a persistent
 // content-addressed result store, and survives restarts — in-flight
-// cells checkpoint continuously and are resumed from the last #CHK
-// record with bit-identical final summaries.
+// cells checkpoint their summary state at every chunk and are resumed
+// from the last checkpoint with bit-identical final summaries.
 //
 //	radcritd -addr 127.0.0.1:8447 -state ./radcritd-state
 //

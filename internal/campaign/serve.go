@@ -4,11 +4,11 @@ package campaign
 // Sink and the one per-cell executor, cellRun — a summary accumulator,
 // an optional checkpoint log and an optional stop rule, advanced through
 // the engine from any strike index. A fresh logged cell is a resume of an
-// empty log, so RunPlanCell (no log), ResumePlanCell (a log, possibly
-// empty), RecoverLog and every Runner epoch share one checkpoint and
-// early-stop path, and a daemon that interleaves caching and
-// checkpointing runs the exact engine path the in-process Runner is
-// pinned against.
+// empty log, so RunPlanCell (no log), ResumePlanCell (an event log,
+// possibly empty), RecoverLog, RunCheckpointed (a reducer-state
+// checkpoint, checkpoint.go) and every Runner epoch share one early-stop
+// path, and a daemon that interleaves caching and checkpointing runs the
+// exact engine path the in-process Runner is pinned against.
 
 import (
 	"context"
@@ -24,10 +24,11 @@ import (
 // SummaryAccumulator folds a streaming outcome sequence into a Summary —
 // the per-cell reducer stack, exported as a Sink so serving layers can
 // combine it with their own sinks (checkpoint logs, progress relays) on
-// one engine pass. It additionally replays salvaged checkpoint-log
-// events, which is what makes a resumed cell's summary bit-identical to
-// an uninterrupted run: the prefix comes from the log's exact hex-float
-// record, the tail from the deterministic per-index RNG splits.
+// one engine pass. It additionally replays salvaged event-log events or
+// restores a reducer-state checkpoint (checkpoint.go), which is what
+// makes a resumed cell's summary bit-identical to an uninterrupted run:
+// the prefix comes from the exact record, the tail from the
+// deterministic per-index RNG splits.
 //
 // Not safe for concurrent use; the engine's in-order consume loop is a
 // single goroutine (Sink contract).
@@ -132,8 +133,9 @@ func ResumePlanCell(ctx context.Context, truncated io.Reader, w io.Writer, cell 
 // cellRun is the one per-cell execution primitive: a summary
 // accumulator, an optional checkpoint log and an optional stop rule,
 // advanced through the engine from any strike index. RunPlanCell,
-// ResumePlanCell (and RecoverLog through it) and every Runner epoch are
-// arrangements of it, so the early-stop wiring exists once.
+// ResumePlanCell (and RecoverLog through it), RunCheckpointed and every
+// Runner epoch are arrangements of it, so the early-stop wiring exists
+// once.
 type cellRun struct {
 	acc  *SummaryAccumulator
 	chk  *CheckpointSink // nil: no log

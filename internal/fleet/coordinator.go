@@ -98,7 +98,7 @@ type item struct {
 	attempts      int  // requeues consumed
 	firstDispatch time.Time
 
-	// bestStrikes/bestLog are the furthest checkpoint any lease has
+	// bestStrikes/bestLog are the furthest checkpoint line any lease has
 	// streamed back — the seed for requeues and local fallback.
 	bestStrikes int
 	bestLog     []byte
@@ -483,8 +483,10 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, fleetError{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxBodyBytes bounds fleet request bodies; checkpoint logs are the big
-// payload and stay far under this for any realistic strike budget.
+// maxBodyBytes bounds fleet request bodies. A checkpoint line and a
+// summary are a few KB each; the slack admits the last line of an event
+// log left in a state directory by an older daemon, which the worker
+// then declines to resume from.
 const maxBodyBytes = 64 << 20
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {

@@ -1,10 +1,12 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"hash/fnv"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -326,6 +328,70 @@ func TestFleetLeaseExpiryRequeueFromCheckpoint(t *testing.T) {
 	}
 	if h.Counters.RequeuedStrikes < 32 {
 		t.Errorf("requeued strikes = %d, want >= 32 (resume from checkpoint, not scratch)", h.Counters.RequeuedStrikes)
+	}
+}
+
+// heartbeatRecorder is a transport that measures the checkpoint every
+// heartbeat carries before passing the request on.
+type heartbeatRecorder struct {
+	mu      sync.Mutex
+	withLog int // heartbeats carrying a checkpoint
+	maxLog  int // largest checkpoint carried, in bytes
+}
+
+func (h *heartbeatRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(r.URL.Path, "/heartbeat") {
+		body, err := io.ReadAll(r.Body)
+		r.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		var hb fleet.HeartbeatRequest
+		if json.Unmarshal(body, &hb) == nil && len(hb.Log) > 0 {
+			h.mu.Lock()
+			h.withLog++
+			h.maxLog = max(h.maxLog, len(hb.Log))
+			h.mu.Unlock()
+		}
+		r = r.Clone(r.Context())
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestFleetHeartbeatCarriesOneLine: a leased multi-chunk cell heartbeats
+// its latest checkpoint line, never an accumulated log — no heartbeat
+// carries more than 4 KiB, however far the cell gets — and the job still
+// matches a direct run.
+func TestFleetHeartbeatCarriesOneLine(t *testing.T) {
+	tf := startFleet(t, fleet.Options{
+		LeaseTTL: 2 * time.Second, Heartbeat: 20 * time.Millisecond,
+		Poll: 20 * time.Millisecond, SpeculateAfter: time.Hour,
+	})
+	rec := &heartbeatRecorder{}
+	startWorker(t, tf.srv.URL, "w1", 40*time.Millisecond, &http.Client{Transport: rec})
+	waitWorkers(t, tf.coord, 1)
+
+	plan := smokePlan(320, "k40/dgemm:128")
+	want := directSummaries(t, plan)
+	snap, err := tf.m.Submit(plan, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := waitDone(t, tf.m, snap.ID, 60*time.Second)
+	if got := summariesJSON(t, jr); got != want {
+		t.Fatalf("fleet summaries differ from direct run:\n got %s\nwant %s", got, want)
+	}
+	if !jr.Cells[0].Remote {
+		t.Fatalf("cell ran locally; the test needs a leased cell")
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.withLog < 3 {
+		t.Fatalf("%d heartbeats carried a checkpoint, want several over 10 chunks", rec.withLog)
+	}
+	if rec.maxLog > 4<<10 {
+		t.Errorf("a heartbeat carried a %d-byte checkpoint, want at most %d", rec.maxLog, 4<<10)
 	}
 }
 

@@ -2,9 +2,9 @@
 // work queue that shards a job's cells across remote worker processes
 // over HTTP, built so that failure is the normal case. Workers register
 // with the coordinator and pull leases; heartbeats refresh lease
-// deadlines and stream the cell's checkpoint log back; a lost worker's
+// deadlines and carry the cell's latest checkpoint back; a lost worker's
 // lease expires and the cell is requeued seeded from the last streamed
-// #CHK record, so a crash costs at most one chunk of re-execution;
+// checkpoint, so a crash costs at most one chunk of re-execution;
 // stragglers are speculatively re-dispatched to idle workers with
 // first-result-wins dedup; and when zero workers are healthy the
 // coordinator tells the service layer to run cells locally instead of
@@ -112,9 +112,10 @@ type WorkItem struct {
 	Key  string            `json:"key"`
 	Spec campaign.CellSpec `json:"spec"`
 	Cfg  CellConfig        `json:"config"`
-	// Log is the cell's checkpoint log so far (empty for a fresh cell).
-	// The worker resumes from its last #CHK record, re-running only the
-	// uncovered tail.
+	// Log is the cell's latest checkpoint (empty for a fresh cell): one
+	// line of reducer state, a few hundred bytes, as
+	// campaign.RunCheckpointed writes it. The worker restores the
+	// summary state from it and re-runs only the uncovered tail.
 	Log []byte `json:"log,omitempty"`
 	// LeaseTTLMillis / HeartbeatMillis restate the coordinator's timing
 	// contract for this lease.
@@ -123,16 +124,16 @@ type WorkItem struct {
 }
 
 // HeartbeatRequest refreshes a lease and streams checkpoint progress.
-// When the log is present it is the full accumulated log, never a
-// delta: full-state heartbeats are idempotent under the dropped or
-// duplicated deliveries a flaky network produces — no offset
-// reconciliation to get wrong. Workers omit the log when no new chunk
-// has flushed since the last acknowledged send, so keep-alive refreshes
-// stay a few bytes even when the checkpoint log is large.
+// When the log is present it is the cell's whole latest checkpoint,
+// never a delta: full-state heartbeats are idempotent under the dropped
+// or duplicated deliveries a flaky network produces — no offset
+// reconciliation to get wrong. Workers omit it when no new chunk has
+// flushed since the last acknowledged send.
 type HeartbeatRequest struct {
 	// Strikes is the flushed strike count (chunk-aligned, monotonic).
 	Strikes int `json:"strikes"`
-	// Log is the cell's full checkpoint log so far.
+	// Log is the cell's latest checkpoint line, covering at least
+	// Strikes strikes.
 	Log []byte `json:"log,omitempty"`
 	// Abandon releases the lease (a draining worker): the item requeues
 	// immediately, seeded from Log, instead of waiting out the TTL.

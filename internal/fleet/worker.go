@@ -46,7 +46,8 @@ type WorkerOptions struct {
 
 // Worker pulls leases from a coordinator and executes cells through the
 // same campaign primitives the daemon uses locally, heartbeating each
-// cell's checkpoint log back so a crash never costs more than one chunk.
+// cell's latest checkpoint back so a crash never costs more than one
+// chunk.
 type Worker struct {
 	opts   WorkerOptions
 	client *http.Client
@@ -179,12 +180,13 @@ func (w *Worker) pollLease(ctx context.Context) (*WorkItem, int, error) {
 }
 
 // runItem executes one leased cell: resume from the item's checkpoint
-// log when present, heartbeat the growing log back on the coordinator's
-// cadence, and report the terminal outcome. A 410 from any heartbeat
-// means the lease is gone (expired, or a speculative twin finished
-// first) — the cell's context is cancelled and the result dropped.
+// when present, heartbeat the latest checkpoint line back on the
+// coordinator's cadence, and report the terminal outcome. A 410 from any
+// heartbeat means the lease is gone (expired, or a speculative twin
+// finished first) — the cell's context is cancelled and the result
+// dropped.
 func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
-	w.logf("fleet worker %s: lease %s: cell %s/%s from strike log of %d bytes",
+	w.logf("fleet worker %s: lease %s: cell %s/%s from a checkpoint of %d bytes",
 		w.id, item.Lease, item.Spec.Device, item.Spec.Kernel, len(item.Log))
 
 	cellCtx, cancel := context.WithCancel(ctx)
@@ -204,9 +206,9 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 		defer hbWG.Done()
 		t := time.NewTicker(hb)
 		defer t.Stop()
-		// The log rides along only when a new chunk has flushed since the
-		// last acknowledged send: refreshes in between are a few bytes, so
-		// a fat checkpoint log can never crowd out the keep-alive cadence.
+		// The checkpoint rides along only when a new chunk has flushed
+		// since the last acknowledged send: refreshes in between carry the
+		// strike count alone.
 		sent := 0
 		for {
 			select {
@@ -245,9 +247,9 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 		return
 	case ctx.Err() != nil:
 		// Worker is shutting down mid-cell: hand the lease back with the
-		// best log so the cell requeues immediately instead of waiting out
-		// the lease TTL. Best effort — a SIGKILLed worker never gets here,
-		// and the TTL covers that.
+		// latest checkpoint so the cell requeues immediately instead of
+		// waiting out the lease TTL. Best effort — a SIGKILLed worker never
+		// gets here, and the TTL covers that.
 		strikes, log := buf.snapshot()
 		abandonCtx, acancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer acancel()
@@ -266,10 +268,11 @@ func (w *Worker) runItem(ctx context.Context, item *WorkItem) {
 	w.complete(ctx, item, req)
 }
 
-// executeCell runs the leased cell under the checkpoint log in buf,
-// resuming from the lease's log — possibly empty, which is a fresh run.
-// Sink order matters: the engine's checkpoint sink flushes ahead of the
-// tracker, so a snapshot never claims strikes its log does not cover.
+// executeCell runs the leased cell under the checkpoint in buf, resuming
+// from the lease's checkpoint — possibly none, which is a fresh run.
+// Sink order matters: the engine writes each checkpoint line ahead of
+// the tracker's flush, so a snapshot never claims strikes its line does
+// not cover.
 func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer, tracker *chunkTracker) (campaign.StreamInfo, *campaign.Summary, error) {
 	cfg, err := item.Cfg.EngineConfig()
 	if err != nil {
@@ -283,7 +286,8 @@ func (w *Worker) executeCell(ctx context.Context, item *WorkItem, buf *logBuffer
 	if w.opts.Metrics != nil {
 		sinks = append(sinks, w.opts.Metrics.Sink(item.Spec.Kernel, item.Spec.Device))
 	}
-	return campaign.ResumePlanCell(ctx, bytes.NewReader(item.Log), buf, cell, cfg, item.Cfg.Thresholds, sinks...)
+	info, sum, _, err := campaign.RunCheckpointed(ctx, item.Log, buf, cell, cfg, item.Cfg.Thresholds, sinks...)
+	return info, sum, err
 }
 
 // complete reports the cell's outcome, retrying transient transport
@@ -340,19 +344,20 @@ func (w *Worker) postJSON(ctx context.Context, path string, in, out any) (int, e
 	return resp.StatusCode, nil
 }
 
-// logBuffer accumulates the cell's checkpoint log under a mutex so the
-// heartbeat goroutine can snapshot a consistent (strikes, log) pair
-// while the engine's consume loop appends.
+// logBuffer holds the cell's latest checkpoint line under a mutex so the
+// heartbeat goroutine can snapshot a consistent (strikes, line) pair
+// while the engine's consume loop writes the next one.
 type logBuffer struct {
 	mu      sync.Mutex
 	data    []byte
 	flushed int
 }
 
-// Write implements io.Writer for the checkpoint stream.
+// Write implements io.Writer for the checkpoint stream: each call is one
+// whole line (campaign.RunCheckpointed), which replaces the previous one.
 func (b *logBuffer) Write(p []byte) (int, error) {
 	b.mu.Lock()
-	b.data = append(b.data, p...)
+	b.data = append(b.data[:0], p...)
 	b.mu.Unlock()
 	return len(p), nil
 }

@@ -124,10 +124,15 @@ func (l *Log) Reports() []*metrics.Report {
 	return reps
 }
 
+// writeBufferSize is the log writers' buffer. An SDC line lists every
+// corrupted element, so a log runs to tens of MB; at the bufio default of
+// 4 KiB that is one write call per few lines.
+const writeBufferSize = 64 << 10
+
 // Write serialises the log. Float values use Go hex-float formatting for
 // bit-exact round trips.
 func Write(w io.Writer, l *Log) error {
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, writeBufferSize)
 	writeHeader(bw, l)
 	for _, e := range l.Events {
 		writeEvent(bw, e)

@@ -33,7 +33,7 @@ type StreamWriter struct {
 // meta (whose Events and Masked are ignored) and returns a writer ready to
 // accept events.
 func NewStreamWriter(w io.Writer, meta *Log) (*StreamWriter, error) {
-	sw := &StreamWriter{bw: bufio.NewWriter(w)}
+	sw := &StreamWriter{bw: bufio.NewWriterSize(w, writeBufferSize)}
 	writeHeader(sw.bw, meta)
 	if err := sw.bw.Flush(); err != nil {
 		return nil, fmt.Errorf("logdata: %v", err)

@@ -17,7 +17,7 @@ var ErrRemoteUnavailable = errors.New("service: remote execution unavailable")
 // RemoteCell describes one cell the manager offers to a remote executor.
 // Everything a worker needs to reproduce the cell bit-identically is
 // here: the spec strings, the engine config, the summary thresholds and
-// (for a cell interrupted mid-flight) the checkpoint log to resume from.
+// (for a cell interrupted mid-flight) the checkpoint to resume from.
 type RemoteCell struct {
 	JobID      string
 	Cell       int
@@ -32,20 +32,19 @@ type RemoteCell struct {
 	Tenant string
 	Weight int
 	CostNS uint64
-	// PrevLog is the cell's checkpoint log so far — empty for a fresh
-	// cell, a salvageable #CHK-checkpointed prefix for one a previous
-	// attempt (local or remote) already progressed.
+	// PrevLog is the cell's latest checkpoint line
+	// (campaign.LastCheckpoint of its cell log) — empty for a fresh cell.
 	PrevLog []byte
 
 	// Progress relays the cell's flushed strike count (monotonic
 	// non-decreasing across the whole remote attempt, whatever worker or
 	// lease produced it). May be nil.
 	Progress func(strikes int)
-	// SaveLog durably persists the cell's best checkpoint log so far; the
-	// manager writes it to the job's cell log file, which is what lets a
-	// coordinator restart — or a degrade-to-local fallback — resume from
-	// the last streamed #CHK record instead of strike zero. Calls are
-	// serialised by the RemoteRunner. May be nil.
+	// SaveLog durably persists the cell's best checkpoint line so far;
+	// the manager writes it to the job's cell log file, which is what
+	// lets a coordinator restart — or a degrade-to-local fallback —
+	// resume from the last streamed checkpoint instead of strike zero.
+	// Calls are serialised by the RemoteRunner. May be nil.
 	SaveLog func(log []byte)
 }
 
@@ -68,7 +67,7 @@ type RemoteResult struct {
 //     irrelevant).
 //   - ErrRemoteUnavailable (possibly wrapped) means the fleet cannot run
 //     the cell now; the caller should run it locally. Any streamed
-//     checkpoint prefix has already been handed to SaveLog.
+//     checkpoint has already been handed to SaveLog.
 //   - ctx errors propagate as-is (the caller distinguishes cancellation
 //     from failure exactly as for local execution).
 //   - Any other error is the cell's own deterministic failure, reported

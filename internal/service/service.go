@@ -4,9 +4,12 @@
 // over per-tenant sub-queues feeds a bounded executor pool — within one
 // tenant the old priority/FIFO order holds exactly — every cell streams
 // through the engine with live progress, and the whole thing survives
-// restarts — in-flight cells checkpoint continuously (campaign
-// CheckpointSink) and a restarted manager resumes them from the last #CHK
-// record with bit-identical final summaries (campaign.ResumePlanCell).
+// restarts — every in-flight cell appends a snapshot of its summary
+// state to its checkpoint log at each chunk boundary, and a restarted
+// manager resumes it from the last complete line with a bit-identical
+// final summary (campaign.RunCheckpointed). The log holds counts, not
+// the corrupted outputs: a few hundred bytes per chunk, deleted once the
+// summary reaches the store.
 //
 // Completed cell summaries are filed in a persistent content-addressed
 // store under campaign.CellKey, so identical cells across jobs, clients
@@ -19,7 +22,9 @@
 //	state/
 //	  store/ab/abcd...        content-addressed cell summaries (LRU GC)
 //	  jobs/<id>/job.json      job record: plan, priority, state
-//	  jobs/<id>/cell-3.log    checkpoint log of an in-flight cell
+//	  jobs/<id>/cell-3.log    checkpoint log of an in-flight cell: one
+//	                          line of summary state per flushed chunk,
+//	                          the last complete line authoritative
 //	  jobs/<id>/cell-3.json   durable outcome of a completed cell
 //	  jobs/<id>/result.json   final per-cell summaries of a finished job
 package service
@@ -1287,6 +1292,7 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (c
 
 	if m.opts.Remote != nil {
 		prev, _ := os.ReadFile(logPath)
+		prev = campaign.LastCheckpoint(prev)
 		res, rerr := m.opts.Remote.RunRemote(jctx, RemoteCell{
 			JobID: j.ID, Cell: i, Spec: spec, Cfg: cfg, Thresholds: ts, Key: cr.Key,
 			Tenant: j.Tenant, Weight: m.tenants.Weight(j.Tenant),
@@ -1302,9 +1308,9 @@ func (m *Manager) runCell(jctx context.Context, j *Job, i int, getCell func() (c
 			resumed = len(prev) > 0
 			ran = true
 		case errors.Is(rerr, ErrRemoteUnavailable):
-			// Degrade to local execution below. Any prefix a worker
-			// streamed before the fleet gave up is in the cell log, so the
-			// local run picks up from the last #CHK record.
+			// Degrade to local execution below. The last checkpoint a
+			// worker streamed before the fleet gave up is in the cell log,
+			// so the local run picks up from it.
 		case isCancellation(rerr):
 			runErr = rerr
 			ran = true
@@ -1384,41 +1390,29 @@ func cellStatusOf(cr *CellResult, total int) CellStatus {
 	return cs
 }
 
-// runLogged runs a cell under its checkpoint log at logPath, resuming
-// from prev, the log a previous incarnation left there — possibly none —
-// and reports whether it resumed. Without a previous log the new one is
-// written in place, where every flushed chunk survives a crash; with one
-// it is written beside it and renamed over it, so the old log stays
-// intact until the rewrite supersedes it. A log that cannot be resumed
-// (damaged beyond salvage, or describing something else) is discarded
-// and the cell rerun from scratch rather than wedging the job forever.
+// runLogged runs a cell under its checkpoint log at logPath
+// (campaign.RunCheckpointed: one reducer-state line per flushed chunk),
+// resuming from prev, the log a previous incarnation left there —
+// possibly none — and reports whether it resumed. The log is appended to
+// in place, with a torn final line cut off first: the lines already
+// there stay until a new one follows them, so a crash at any moment
+// loses at most the chunk in flight. A log that cannot be resumed
+// (another cell or seed, a damaged line, an event log of an older
+// daemon) means a fresh run rather than a wedged job.
 func runLogged(jctx context.Context, logPath string, prev []byte, cell campaign.Cell, cfg campaign.Config, ts []float64, sinks []campaign.Sink) (campaign.StreamInfo, *campaign.Summary, bool, error) {
-	resumed := len(prev) > 0
-	out := logPath
-	if resumed {
-		out = logPath + ".resume"
-	}
-	f, err := os.Create(out)
+	f, err := os.OpenFile(logPath, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
-		return campaign.StreamInfo{}, nil, resumed, fmt.Errorf("service: checkpoint log: %w", err)
+		return campaign.StreamInfo{}, nil, false, fmt.Errorf("service: checkpoint log: %w", err)
 	}
-	info, sum, runErr := campaign.ResumePlanCell(jctx, bytes.NewReader(prev), f, cell, cfg, ts, sinks...)
-	// On cancellation the trailer is deliberately not written: the log
-	// stays resumable from its last flushed #CHK record.
-	if cerr := f.Close(); runErr == nil {
-		runErr = cerr
+	if keep := bytes.LastIndexByte(prev, '\n') + 1; keep < len(prev) {
+		if err := f.Truncate(int64(keep)); err != nil {
+			f.Close()
+			return campaign.StreamInfo{}, nil, false, fmt.Errorf("service: checkpoint log: %w", err)
+		}
 	}
-	if !resumed {
-		return info, sum, false, runErr
+	info, sum, resumed, runErr := campaign.RunCheckpointed(jctx, prev, f, cell, cfg, ts, sinks...)
+	if cerr := f.Close(); runErr == nil && cerr != nil {
+		runErr = fmt.Errorf("service: checkpoint log: %w", cerr)
 	}
-	if runErr != nil && !isCancellation(runErr) {
-		_ = os.Remove(out)
-		return runLogged(jctx, logPath, nil, cell, cfg, ts, sinks)
-	}
-	// Keep the rewritten log: it covers at least as much as the old one
-	// (replayed prefix plus any newly checkpointed tail).
-	if err := os.Rename(out, logPath); err != nil && runErr == nil {
-		runErr = fmt.Errorf("service: checkpoint log: %w", err)
-	}
-	return info, sum, true, runErr
+	return info, sum, resumed, runErr
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -360,6 +361,39 @@ func TestUnresumableLogRerun(t *testing.T) {
 		if _, err := os.Stat(p); !os.IsNotExist(err) {
 			t.Errorf("%s survived the rerun", filepath.Base(p))
 		}
+	}
+}
+
+// TestJobCheckpointBytes pins what the daemon's checkpoint logs cost: a
+// job of the paper's 8-cell matrix at the warm benchmark's sizes, every
+// cell run through runLogged exactly as the daemon runs a local cell,
+// writes at most 64 KiB of checkpoint bytes in total. A checkpoint is
+// summary state, not the corrupted outputs, which for this job come to
+// tens of MB.
+func TestJobCheckpointBytes(t *testing.T) {
+	plan := campaign.NewPlan(11, 300).Named("warm-matrix").WithWorkers(1)
+	for _, k := range []string{"dgemm:256", "lavamd:5", "hotspot:64x80", "clamr:48x60"} {
+		plan.WithKernelOnDevices(k, "k40", "phi")
+	}
+	cells, err := plan.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	total := int64(0)
+	for i, cell := range cells {
+		path := filepath.Join(dir, fmt.Sprintf("cell-%d.log", i))
+		if _, _, _, err := runLogged(context.Background(), path, nil, cell, plan.Config(), plan.EffectiveThresholds(), nil); err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += fi.Size()
+	}
+	if total > 64<<10 {
+		t.Errorf("an 8-cell job wrote %d checkpoint bytes, want at most %d", total, 64<<10)
 	}
 }
 
