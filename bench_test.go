@@ -8,6 +8,7 @@ package radcrit
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"radcrit/internal/abft"
@@ -16,7 +17,9 @@ import (
 	"radcrit/internal/fault"
 	"radcrit/internal/floatbits"
 	"radcrit/internal/grid"
+	"radcrit/internal/injector"
 	"radcrit/internal/k40"
+	"radcrit/internal/kernels"
 	"radcrit/internal/kernels/dgemm"
 	"radcrit/internal/metrics"
 	"radcrit/internal/phi"
@@ -27,6 +30,17 @@ const benchStrikes = 120
 
 func benchCfg(i int) campaign.Config {
 	return campaign.DefaultConfig(uint64(1000+i), benchStrikes)
+}
+
+// mustStream runs one campaign cell through the streaming engine into the
+// sinks, failing the benchmark on an invalid cell.
+func mustStream(b *testing.B, dev arch.Device, kern kernels.Kernel, cfg campaign.Config, sinks ...campaign.Sink) campaign.StreamInfo {
+	b.Helper()
+	info, err := campaign.RunStreaming(dev, kern, cfg, sinks...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return info
 }
 
 // BenchmarkTable1 regenerates the kernel classification (Table I).
@@ -160,8 +174,9 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var filtered float64
 	for i := 0; i < b.N; i++ {
-		res := campaign.Run(k40.New(), campaign.HotSpotKernel(campaign.TestScale), benchCfg(i))
-		filtered += res.FilteredFraction(2)
+		ff := campaign.NewFilteredFractionReducer(2)
+		mustStream(b, k40.New(), campaign.HotSpotKernel(campaign.TestScale), benchCfg(i), ff)
+		filtered += ff.Fraction()
 		runFigurePass(b, i, func(p *campaign.FigurePass) {
 			p.Locality("HotSpot", hotspotCell(phi.New()))
 		})
@@ -278,34 +293,37 @@ func BenchmarkAblationScheduler(b *testing.B) {
 func BenchmarkAblationCacheSharing(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		shared := phi.New()
-		res := campaign.Run(shared, dgemm.New(256), campaign.DefaultConfig(uint64(3000+i), benchStrikes))
-		with += medianElements(res)
+		var res sdcSizes
+		mustStream(b, phi.New(), dgemm.New(256), campaign.DefaultConfig(uint64(3000+i), benchStrikes), &res)
+		with += res.median()
 
 		isolated := phi.New()
 		isolated.L2SharingDegree = 1
-		res2 := campaign.Run(isolated, dgemm.New(256), campaign.DefaultConfig(uint64(4000+i), benchStrikes))
-		without += medianElements(res2)
+		var res2 sdcSizes
+		mustStream(b, isolated, dgemm.New(256), campaign.DefaultConfig(uint64(4000+i), benchStrikes), &res2)
+		without += res2.median()
 	}
 	b.ReportMetric(with/float64(b.N), "median-elems-shared")
 	b.ReportMetric(without/float64(b.N), "median-elems-isolated")
 }
 
-func medianElements(res *campaign.Result) float64 {
-	if len(res.Reports) == 0 {
+// sdcSizes is a sink recording every SDC's incorrect-element count.
+type sdcSizes []int
+
+// Consume implements campaign.Sink.
+func (s *sdcSizes) Consume(_ int, out injector.Outcome) {
+	if out.Class == fault.SDC {
+		*s = append(*s, out.Report.Count())
+	}
+}
+
+// median returns the median incorrect-element count (0 without SDCs).
+func (s sdcSizes) median() float64 {
+	if len(s) == 0 {
 		return 0
 	}
-	counts := make([]int, 0, len(res.Reports))
-	for _, r := range res.Reports {
-		counts = append(counts, r.Count())
-	}
-	// insertion sort: tiny slices
-	for i := 1; i < len(counts); i++ {
-		for j := i; j > 0 && counts[j] < counts[j-1]; j-- {
-			counts[j], counts[j-1] = counts[j-1], counts[j]
-		}
-	}
-	return float64(counts[len(counts)/2])
+	slices.Sort(s)
+	return float64(s[len(s)/2])
 }
 
 // BenchmarkAblationECC compares the K40's SDC rate with register-file and
@@ -313,14 +331,15 @@ func medianElements(res *campaign.Result) float64 {
 func BenchmarkAblationECC(b *testing.B) {
 	var with, without float64
 	for i := 0; i < b.N; i++ {
-		on := k40.New()
-		res := campaign.Run(on, dgemm.New(256), campaign.DefaultConfig(uint64(5000+i), benchStrikes))
+		res := campaign.NewTallyReducer()
+		mustStream(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(5000+i), benchStrikes), res)
 		with += float64(res.Tally.SDC)
 
 		off := k40.New()
 		off.ECCRegisterFile = false
 		off.ECCSharedMemory = false
-		res2 := campaign.Run(off, dgemm.New(256), campaign.DefaultConfig(uint64(6000+i), benchStrikes))
+		res2 := campaign.NewTallyReducer()
+		mustStream(b, off, dgemm.New(256), campaign.DefaultConfig(uint64(6000+i), benchStrikes), res2)
 		without += float64(res2.Tally.SDC)
 	}
 	b.ReportMetric(with/float64(b.N), "SDCs-ecc-on")
@@ -333,17 +352,18 @@ func BenchmarkAblationECC(b *testing.B) {
 func BenchmarkAblationBitModel(b *testing.B) {
 	var biased, uniform float64
 	for i := 0; i < b.N; i++ {
-		std := k40.New()
-		res := campaign.Run(std, dgemm.New(256), campaign.DefaultConfig(uint64(7000+i), benchStrikes))
-		biased += res.FilteredFraction(2)
+		res := campaign.NewFilteredFractionReducer(2)
+		mustStream(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(7000+i), benchStrikes), res)
+		biased += res.Fraction()
 
 		alt := k40.New()
 		alt.DatapathFlip = arch.FlipDist{
 			Specs:   []fault.FlipSpec{{Field: floatbits.Exponent, Bits: 1}, {Field: floatbits.AnyField, Bits: 1}},
 			Weights: []float64{0.5, 0.5},
 		}
-		res2 := campaign.Run(alt, dgemm.New(256), campaign.DefaultConfig(uint64(8000+i), benchStrikes))
-		uniform += res2.FilteredFraction(2)
+		res2 := campaign.NewFilteredFractionReducer(2)
+		mustStream(b, alt, dgemm.New(256), campaign.DefaultConfig(uint64(8000+i), benchStrikes), res2)
+		uniform += res2.Fraction()
 	}
 	b.ReportMetric(100*biased/float64(b.N), "filtered-mantissa-biased-%")
 	b.ReportMetric(100*uniform/float64(b.N), "filtered-high-magnitude-%")
@@ -355,11 +375,12 @@ func BenchmarkAblationBitModel(b *testing.B) {
 func BenchmarkAblationThreshold(b *testing.B) {
 	var out string
 	for i := 0; i < b.N; i++ {
-		res := campaign.Run(k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(9000+i), 300))
-		base := res.SDCFIT(0)
+		res := campaign.NewSDCCountReducer(0, 0.5, 1, 2, 5, 10)
+		info := mustStream(b, k40.New(), dgemm.New(256), campaign.DefaultConfig(uint64(9000+i), 300), res)
+		base := res.FIT(0, info.Exposure)
 		out = ""
-		for _, th := range []float64{0.5, 1, 2, 5, 10} {
-			out += fmt.Sprintf("%.0f%%@%v ", 100*res.SDCFIT(th)/base, th)
+		for k, th := range res.Thresholds[1:] {
+			out += fmt.Sprintf("%.0f%%@%v ", 100*res.FIT(k+1, info.Exposure)/base, th)
 		}
 	}
 	if testing.Verbose() {
@@ -370,7 +391,8 @@ func BenchmarkAblationThreshold(b *testing.B) {
 // --- Campaign engine: serial vs parallel (DESIGN.md §5) ---
 
 // benchCampaignEngine measures whole campaign cells at a fixed worker
-// count. Every Run pays the full strike loop; the kernel is hoisted so
+// count, each streamed into a TallyReducer. Every run pays the full
+// strike loop; the kernel is hoisted so
 // iterations beyond the first run against warm golden-state handles (the
 // engine's steady state).
 func benchCampaignEngine(b *testing.B, workers int) {
@@ -380,7 +402,8 @@ func benchCampaignEngine(b *testing.B, workers int) {
 	cfg.Workers = workers
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := campaign.Run(dev, kern, cfg)
+		res := campaign.NewTallyReducer()
+		mustStream(b, dev, kern, cfg, res)
 		if res.Tally.Count() != cfg.Strikes {
 			b.Fatal("strike count wrong")
 		}

@@ -22,13 +22,18 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	"radcrit"
+	"radcrit/internal/campaign"
 	"radcrit/internal/cli"
+	"radcrit/internal/fault"
+	"radcrit/internal/injector"
+	"radcrit/internal/logdata"
 )
 
 func main() {
@@ -84,32 +89,102 @@ func main() {
 }
 
 // runFixed is the classic fixed-budget path: every cell runs its full
-// budget through RunCampaign, whose Result retains every report, and a
-// single-cell plan writes the public log rebuilt from that Result.
+// budget through RunPlanCell and prints its summary. A single-cell plan
+// also streams the public campaign log through a logSink, created before
+// the first strike so an unwritable path costs no beam time.
 func runFixed(plan *radcrit.Plan, out string) {
 	cells, err := plan.Build()
 	if err != nil {
 		cli.Fatal("beamsim", "%v", err)
 	}
-	results := make([]*radcrit.Result, len(cells))
-	for i, c := range cells {
-		results[i] = radcrit.RunCampaign(c.Dev, c.Kern, plan.Config())
-		summarize(results[i])
+	cfg := plan.Config()
+	var extra []radcrit.Sink
+	var log *logSink
+	if len(cells) == 1 {
+		log = createLog(out, cells[0], cfg)
+		extra = append(extra, log)
 	}
-	if len(results) == 1 {
-		w := os.Stdout
-		if out != "" {
-			f, err := os.Create(out)
-			if err != nil {
-				cli.Fatal("beamsim", "create log: %v", err)
-			}
-			defer f.Close()
-			w = f
+	for _, c := range cells {
+		// Summarised under every SDC and the paper's 2% filter.
+		info, sum, err := radcrit.RunPlanCell(context.Background(), c, cfg, []float64{0, 2}, extra...)
+		if err != nil {
+			cli.Fatal("beamsim", "%v", err)
 		}
-		if err := radcrit.WriteLog(w, results[0], plan.Seed); err != nil {
+		summarize(info, sum)
+	}
+	if log != nil {
+		if err := log.Close(); err != nil {
 			cli.Fatal("beamsim", "write log: %v", err)
 		}
 	}
+}
+
+// logSink streams a fixed-budget cell's public campaign log: SDC events
+// as they happen at exec spacing 13, masked outcomes as the trailer's
+// count, and the payload-free crashes and hangs from their counts at
+// Close (spacings 7 and 11). It writes no #CHK records: the log is a
+// finished run's artifact, not a resume point. Write errors are sticky
+// and surface at Close.
+type logSink struct {
+	sw                *logdata.StreamWriter
+	file              io.Closer // nil when the log goes to stdout
+	exec, crash, hang int
+}
+
+// createLog opens the log (out, or stdout when empty) and writes the
+// cell's header.
+func createLog(out string, cell radcrit.Cell, cfg radcrit.Config) *logSink {
+	s := &logSink{}
+	var w io.Writer = os.Stdout
+	if out != "" {
+		f, err := os.Create(out)
+		if err != nil {
+			cli.Fatal("beamsim", "create log: %v", err)
+		}
+		w, s.file = f, f
+	}
+	info, err := campaign.CellInfo(cell.Dev, cell.Kern, cfg)
+	if err == nil {
+		s.sw, err = logdata.NewStreamWriter(w, campaign.LogHeader(info, cfg.Seed))
+	}
+	if err != nil {
+		cli.Fatal("beamsim", "write log: %v", err)
+	}
+	return s
+}
+
+// Consume implements radcrit.Sink.
+func (s *logSink) Consume(_ int, out injector.Outcome) {
+	switch out.Class {
+	case fault.Masked:
+		s.sw.AddMasked(1)
+	case fault.SDC:
+		s.exec += 13
+		s.sw.WriteEvent(logdata.Event{Class: fault.SDC, Exec: s.exec,
+			Resource: out.Resource.String(), Mismatches: out.Report.Mismatches})
+	case fault.Crash:
+		s.crash++
+	case fault.Hang:
+		s.hang++
+	}
+}
+
+// Close writes the crashes, hangs and trailer, closes the file, and
+// reports the first error.
+func (s *logSink) Close() error {
+	for range s.crash {
+		s.exec += 7
+		s.sw.WriteEvent(logdata.Event{Class: fault.Crash, Exec: s.exec})
+	}
+	for range s.hang {
+		s.exec += 11
+		s.sw.WriteEvent(logdata.Event{Class: fault.Hang, Exec: s.exec})
+	}
+	err := s.sw.Close()
+	if s.file != nil {
+		err = errors.Join(err, s.file.Close())
+	}
+	return err
 }
 
 // runAdaptive executes a plan carrying an early-stopping spec through
@@ -140,7 +215,7 @@ type nopCloser struct{ io.Writer }
 func (nopCloser) Close() error { return nil }
 
 // summarizeStream renders an adaptive cell from its streaming info and
-// summary (there is no retained Result on this path). Consumed
+// summary under the plan's thresholds. Consumed
 // strikes are reported against the plan's per-cell budget: fewer means
 // the confidence target stopped the cell early, more means reallocation
 // granted it strikes other cells freed.
@@ -166,15 +241,17 @@ func summarizeStream(cell *radcrit.CellOutcome, planned int) {
 		info.Exposure.Facility.EquivalentNaturalHours(info.Exposure.BeamHours))
 }
 
-func summarize(res *radcrit.Result) {
-	fmt.Fprintf(os.Stderr, "campaign: %s %s %s\n", res.Device, res.Kernel, res.Input)
+// summarize renders a fixed-budget cell from its info and its summary
+// under thresholds {0, 2}.
+func summarize(info radcrit.StreamInfo, sum *radcrit.Summary) {
+	fmt.Fprintf(os.Stderr, "campaign: %s %s %s\n", info.Device, info.Kernel, info.Input)
 	fmt.Fprintf(os.Stderr, "  strikes:   %d over %.1f simulated beam hours\n",
-		res.Strikes, res.Exposure.BeamHours)
+		info.Strikes, info.Exposure.BeamHours)
 	fmt.Fprintf(os.Stderr, "  outcomes:  %d masked, %d SDC, %d crash, %d hang\n",
-		res.Tally.Masked, res.Tally.SDC, res.Tally.Crash, res.Tally.Hang)
-	fmt.Fprintf(os.Stderr, "  SDC:DUE:   %.2f\n", res.Tally.SDCToDUERatio())
+		sum.Tally.Masked, sum.Tally.SDC, sum.Tally.Crash, sum.Tally.Hang)
+	fmt.Fprintf(os.Stderr, "  SDC:DUE:   %.2f\n", sum.Tally.SDCToDUERatio())
 	fmt.Fprintf(os.Stderr, "  SDC FIT:   %.3g a.u. (all), %.3g a.u. (>2%%)\n",
-		res.SDCFIT(0), res.SDCFIT(2))
+		sum.SDCFIT[0], sum.SDCFIT[1])
 	fmt.Fprintf(os.Stderr, "  natural-equivalent exposure: %.3g hours\n",
-		res.Exposure.Facility.EquivalentNaturalHours(res.Exposure.BeamHours))
+		info.Exposure.Facility.EquivalentNaturalHours(info.Exposure.BeamHours))
 }

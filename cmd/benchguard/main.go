@@ -21,6 +21,11 @@
 //	go test -bench='BenchmarkStrike|BenchmarkInjected' -benchmem -run='^$' . |
 //	    go run ./cmd/benchguard -baseline BENCH_campaign.json
 //
+// -shapes guards behaviour instead, on any host: every custom
+// b.ReportMetric in the run must print exactly the value recorded in
+// shape_statistics.benchmarks.<name>.<unit>, at the printed precision
+// (see guardShapes; CI feeds it the artifact and ablation benches).
+//
 // -emit-multicore switches the tool into a record emitter instead of a
 // guard: it reads `go test -bench=BenchmarkCampaignMulticore` output and
 // prints the `multicore` JSON record for BENCH_campaign.json — per-cell
@@ -58,6 +63,11 @@ type baselineFile struct {
 			AllocsOp float64 `json:"allocs_op"`
 		} `json:"benchmarks"`
 	} `json:"strike_hot_path"`
+	ShapeStatistics struct {
+		// Benchmarks maps a benchmark name to its custom metrics' recorded
+		// values, keyed by unit.
+		Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+	} `json:"shape_statistics"`
 }
 
 // benchResult is one parsed benchmark line.
@@ -65,6 +75,9 @@ type benchResult struct {
 	NsOp      float64
 	AllocsOp  float64
 	HasAllocs bool
+	// Metrics holds every custom b.ReportMetric value as printed, keyed
+	// by unit.
+	Metrics map[string]string
 }
 
 func main() {
@@ -72,6 +85,7 @@ func main() {
 	maxFactor := flag.Float64("max-factor", 2, "fail when allocs/op exceeds factor x baseline")
 	nsFactor := flag.Float64("ns-factor", 1.5, "fail when ns/op exceeds factor x baseline (skipped when host cores differ from baseline)")
 	emitMulticore := flag.Bool("emit-multicore", false, "emit the BENCH_campaign.json multicore record from BenchmarkCampaignMulticore output instead of guarding")
+	shapes := flag.Bool("shapes", false, "guard the custom bench metrics against shape_statistics instead of the strike hot path budgets")
 	showVersion := cli.VersionFlag(flag.CommandLine)
 	flag.Parse()
 	cli.ExitIfVersion(*showVersion)
@@ -102,11 +116,18 @@ func main() {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fatal("parse baseline %s: %v", *baselinePath, err)
 	}
-	if len(base.StrikeHotPath.Benchmarks) == 0 {
+	var notes, failures []string
+	switch {
+	case *shapes:
+		if len(base.ShapeStatistics.Benchmarks) == 0 {
+			fatal("%s has no shape_statistics.benchmarks section", *baselinePath)
+		}
+		notes, failures = guardShapes(base.ShapeStatistics.Benchmarks, got)
+	case len(base.StrikeHotPath.Benchmarks) == 0:
 		fatal("%s has no strike_hot_path.benchmarks section", *baselinePath)
+	default:
+		notes, failures = guard(base, got, *maxFactor, *nsFactor, runtime.NumCPU())
 	}
-
-	notes, failures := guard(base, got, *maxFactor, *nsFactor, runtime.NumCPU())
 	for _, n := range notes {
 		fmt.Println("benchguard: " + n)
 	}
@@ -131,12 +152,7 @@ func guard(base baselineFile, got map[string]benchResult, maxFactor, nsFactor fl
 		notes = append(notes, fmt.Sprintf("note: host has %d cores, baseline recorded on %d — ns/op guard skipped, allocs/op still enforced",
 			cores, base.Host.Cores))
 	}
-	names := make([]string, 0, len(base.StrikeHotPath.Benchmarks))
-	for name := range base.StrikeHotPath.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(base.StrikeHotPath.Benchmarks) {
 		want := base.StrikeHotPath.Benchmarks[name]
 		res, ok := got[name]
 		if !ok {
@@ -167,6 +183,53 @@ func guard(base baselineFile, got map[string]benchResult, maxFactor, nsFactor fl
 	return notes, failures
 }
 
+// guardShapes checks every recorded shape statistic against the run, and
+// every custom metric of the run against the record. A value matches when
+// the recorded one, formatted with as many decimals as the bench output
+// printed, reads the same: the printed precision is all the run tells.
+func guardShapes(want map[string]map[string]float64, got map[string]benchResult) (notes, failures []string) {
+	for _, name := range sortedKeys(want) {
+		res, ok := got[name]
+		if !ok {
+			failures = append(failures, fmt.Sprintf("%s: recorded benchmark missing from bench output", name))
+			continue
+		}
+		for _, unit := range sortedKeys(want[name]) {
+			printed, ok := res.Metrics[unit]
+			if !ok {
+				failures = append(failures, fmt.Sprintf("%s: recorded metric %s missing from bench output", name, unit))
+				continue
+			}
+			decimals := 0
+			if i := strings.IndexByte(printed, '.'); i >= 0 {
+				decimals = len(printed) - i - 1
+			}
+			if rec := strconv.FormatFloat(want[name][unit], 'f', decimals, 64); rec != printed {
+				failures = append(failures, fmt.Sprintf("%s: %s printed %s, recorded %s", name, unit, printed, rec))
+				continue
+			}
+			notes = append(notes, fmt.Sprintf("ok %s: %s %s", name, printed, unit))
+		}
+	}
+	for _, name := range sortedKeys(got) {
+		for _, unit := range sortedKeys(got[name].Metrics) {
+			if _, ok := want[name][unit]; !ok {
+				failures = append(failures, fmt.Sprintf("%s: metric %s has no shape_statistics record", name, unit))
+			}
+		}
+	}
+	return notes, failures
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // multicoreRecord is the BENCH_campaign.json "multicore" section shape.
 type multicoreRecord struct {
 	Description string `json:"description"`
@@ -188,7 +251,7 @@ type multicoreCell struct {
 // the given core count.
 func buildMulticoreRecord(got map[string]benchResult, cores int) (*multicoreRecord, error) {
 	rec := &multicoreRecord{
-		Description: "Whole uncached campaign cells (campaign.Run) at worker counts {1, 2, NumCPU}. Results are bit-identical across worker counts (DESIGN.md §5); ns/op is the whole story. Regenerate with: go test -bench=BenchmarkCampaignMulticore -benchtime=1x -run='^$' . | go run ./cmd/benchguard -emit-multicore",
+		Description: "Whole uncached campaign cells (campaign.RunStreaming into a TallyReducer) at worker counts {1, 2, NumCPU}. Results are bit-identical across worker counts (DESIGN.md §5); ns/op is the whole story. Regenerate with: go test -bench=BenchmarkCampaignMulticore -benchtime=1x -run='^$' . | go run ./cmd/benchguard -emit-multicore",
 		Cells:       map[string]*multicoreCell{},
 	}
 	rec.Host.Cores = cores
@@ -237,8 +300,9 @@ func round2(v float64) float64 {
 	return float64(int(v*100+0.5)) / 100
 }
 
-// parseBenchOutput extracts ns/op and allocs/op per benchmark from
-// `go test -bench [-benchmem]` text. Benchmark names are normalised by
+// parseBenchOutput extracts ns/op, allocs/op and the custom metrics per
+// benchmark from `go test -bench [-benchmem]` text. Benchmark names are
+// normalised by
 // stripping the "Benchmark" prefix and the -GOMAXPROCS suffix.
 func parseBenchOutput(r io.Reader) (map[string]benchResult, error) {
 	out := map[string]benchResult{}
@@ -258,12 +322,18 @@ func parseBenchOutput(r io.Reader) (map[string]benchResult, error) {
 			if err != nil {
 				continue
 			}
-			switch fields[i+1] {
+			switch unit := fields[i+1]; unit {
 			case "ns/op":
 				res.NsOp = v
 			case "allocs/op":
 				res.AllocsOp = v
 				res.HasAllocs = true
+			case "B/op", "MB/s":
+			default:
+				if res.Metrics == nil {
+					res.Metrics = map[string]string{}
+				}
+				res.Metrics[unit] = fields[i]
 			}
 		}
 		out[name] = res

@@ -138,3 +138,65 @@ func TestBuildMulticoreRecord(t *testing.T) {
 		t.Error("a run without multicore results produced a record")
 	}
 }
+
+func TestGuardShapes(t *testing.T) {
+	record := map[string]map[string]float64{
+		"Figure2":           {"SDCs/op": 341},
+		"Figure9":           {"wave-coverage-%": 27.6},
+		"AblationScheduler": {"growth-with-strain-x": 9.446, "growth-without-x": 1},
+	}
+	const (
+		figure2   = "BenchmarkFigure2-2   1   3210495907 ns/op   341.0 SDCs/op\n"
+		figure9   = "BenchmarkFigure9-2   1   56873089 ns/op   27.60 wave-coverage-%\n"
+		scheduler = "BenchmarkAblationScheduler-2 1 41840 ns/op   9.446 growth-with-strain-x   1.000 growth-without-x\n"
+		engine    = "BenchmarkCampaignEngineSerial-2 1 1582035167 ns/op\n"
+	)
+	cases := []struct {
+		name     string
+		out      string
+		wantFail []string
+	}{
+		{
+			name: "every metric matches at printed precision",
+			out:  figure2 + figure9 + scheduler + engine,
+		},
+		{
+			name:     "drifted value",
+			out:      figure2 + "BenchmarkFigure9-2   1   56873089 ns/op   27.61 wave-coverage-%\n" + scheduler,
+			wantFail: []string{"Figure9: wave-coverage-% printed 27.61, recorded 27.60"},
+		},
+		{
+			name:     "drift below the record's own digits",
+			out:      figure2 + figure9 + "BenchmarkAblationScheduler-2 1 41840 ns/op   9.446 growth-with-strain-x   1.001 growth-without-x\n",
+			wantFail: []string{"AblationScheduler: growth-without-x printed 1.001, recorded 1.000"},
+		},
+		{
+			name:     "recorded benchmark missing",
+			out:      figure2 + scheduler,
+			wantFail: []string{"Figure9: recorded benchmark missing"},
+		},
+		{
+			name:     "recorded metric missing",
+			out:      figure2 + figure9 + "BenchmarkAblationScheduler-2 1 41840 ns/op   9.446 growth-with-strain-x\n",
+			wantFail: []string{"AblationScheduler: recorded metric growth-without-x missing"},
+		},
+		{
+			name:     "metric without a record",
+			out:      figure2 + figure9 + scheduler + "BenchmarkFigure3-2 1 2491381119 ns/op   28.57 K40-filter-gain-%\n",
+			wantFail: []string{"Figure3: metric K40-filter-gain-% has no shape_statistics record"},
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, failures := guardShapes(record, mustParse(t, c.out))
+			if len(failures) != len(c.wantFail) {
+				t.Fatalf("failures = %q, want %d matching %q", failures, len(c.wantFail), c.wantFail)
+			}
+			for i, want := range c.wantFail {
+				if !strings.Contains(failures[i], want) {
+					t.Errorf("failure %d = %q, want it to contain %q", i, failures[i], want)
+				}
+			}
+		})
+	}
+}

@@ -14,6 +14,7 @@ import (
 
 	"radcrit"
 	"radcrit/internal/abft"
+	"radcrit/internal/campaign"
 	"radcrit/internal/grid"
 	"radcrit/internal/metrics"
 	"radcrit/internal/xrand"
@@ -38,10 +39,15 @@ func main() {
 	}
 
 	for _, c := range cells {
-		r := radcrit.RunCampaign(c.Dev, c.Kern, plan.Config())
-		cov := abft.EvaluateCoverage(r.Reports)
+		red := campaign.NewABFTReducer()
+		info, err := campaign.RunStreaming(c.Dev, c.Kern, plan.Config(), red)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dgemm_abft: %v\n", err)
+			os.Exit(1)
+		}
+		cov := red.Coverage
 		fmt.Printf("%s: %d SDCs -> %d correctable (single/line), %d detect-only (square/random)\n",
-			r.Device, len(r.Reports), cov.Correctable, cov.DetectOnly)
+			info.Device, cov.Total, cov.Correctable, cov.DetectOnly)
 		fmt.Printf("  ABFT would remove %.0f%% of this device's DGEMM errors\n",
 			100*cov.CorrectableFraction())
 	}

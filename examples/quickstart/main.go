@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -29,37 +30,49 @@ func main() {
 		WithKernelOnDevices("dgemm:256", "k40", "phi").
 		WithThresholds(0, radcrit.DefaultThresholdPct)
 
-	// Validating and building the plan resolves its cells; RunCampaign
-	// then keeps every SDC report, which the criticality analysis reads.
+	// Validating and building the plan resolves its cells. Each cell then
+	// runs through the streaming engine with two extra sinks beside the
+	// summary reducers: the criticality analysis and the selective-
+	// hardening advisor. No SDC report outlives its strike.
 	cells, err := plan.Build()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
 		os.Exit(1)
 	}
 
+	// The paper's DGEMM figures cap per-element relative errors at 100%
+	// for readability (Fig. 2); do the same here.
+	opts := radcrit.DefaultAnalysisOptions()
+	opts.CapPct = 100
+
 	profiles := map[string]*radcrit.Criticality{}
-	results := make([]*radcrit.Result, len(cells))
+	var advice radcrit.HardeningAdvice
 	for i, c := range cells {
-		r := radcrit.RunCampaign(c.Dev, c.Kern, plan.Config())
-		results[i] = r
+		crit := radcrit.NewAnalyzer(opts)
+		advisor := radcrit.NewHardeningAdvisor(radcrit.DefaultThresholdPct)
+		info, sum, err := radcrit.RunPlanCell(context.Background(), c, plan.Config(),
+			plan.EffectiveThresholds(), crit, advisor)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
+			os.Exit(1)
+		}
 		fmt.Printf("%s: %d strikes -> %d masked, %d SDC, %d crash, %d hang (SDC:DUE %.2f)\n",
-			r.Device, r.Strikes,
-			r.Tally.Masked, r.Tally.SDC, r.Tally.Crash, r.Tally.Hang,
-			r.Tally.SDCToDUERatio())
+			info.Device, info.Strikes,
+			sum.Tally.Masked, sum.Tally.SDC, sum.Tally.Crash, sum.Tally.Hang,
+			sum.Tally.SDCToDUERatio())
 
-		// The paper's DGEMM figures cap per-element relative errors at
-		// 100% for readability (Fig. 2); do the same here.
-		opts := radcrit.DefaultAnalysisOptions()
-		opts.CapPct = 100
-		crit := radcrit.Analyze(r.Reports, opts)
-		fmt.Print(crit)
+		profiles[info.Device] = crit.Criticality()
+		fmt.Print(profiles[info.Device])
 		fmt.Println()
 
-		profiles[r.Device] = crit
-
-		// Render the Figure-3-style locality breakdown for this device.
-		radcrit.RenderLocality(os.Stdout, r, radcrit.DefaultThresholdPct)
+		// Render the Figure-3-style locality breakdown for this device:
+		// the plan's thresholds {0, 2} are its unfiltered and filtered bars.
+		radcrit.RenderLocality(os.Stdout, info, sum)
 		fmt.Println()
+
+		if i == 0 {
+			advice = radcrit.AdviseHardening(info, advisor)
+		}
 	}
 
 	fmt.Println("cross-architecture verdict (§V-E):")
@@ -67,7 +80,6 @@ func main() {
 	fmt.Println()
 
 	// The paper's proposed follow-up (§VI): find the resources behind the
-	// critical errors and harden only those, from the K40 cell's retained
-	// result, reports included.
-	fmt.Print(radcrit.AdviseHardening(results[0], radcrit.DefaultThresholdPct))
+	// K40 cell's critical errors and harden only those.
+	fmt.Print(advice)
 }

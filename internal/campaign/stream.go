@@ -36,7 +36,8 @@ const DefaultStreamChunk = 512
 // duration of the Consume call. Once every sink has consumed a strike the
 // engine releases the report back to the session pool for reuse by a
 // later strike, so a sink must extract what it needs before returning and
-// must Clone the report to retain it (as Run's result sink does). The online reducers all satisfy this by construction.
+// must Clone the report to retain it. Every sink in the repository
+// extracts; none retains.
 type Sink interface {
 	Consume(i int, out injector.Outcome)
 }
@@ -49,10 +50,10 @@ type ChunkFlusher interface {
 	FlushChunk(next int)
 }
 
-// StreamInfo is the cell metadata a streaming run yields in place of a
-// *Result: identity, occupancy profile and the back-computed beam
+// StreamInfo is the cell metadata a streaming run yields beside its
+// sinks' state: identity, occupancy profile and the back-computed beam
 // exposure. Reducers combine it with their accumulated state to produce
-// the same statistics the Result methods compute from retained reports.
+// the cell's statistics.
 type StreamInfo struct {
 	Device  string
 	Kernel  string
@@ -100,7 +101,7 @@ func cellInfo(ses *injector.Session, dev arch.Device, kern kernels.Kernel, cfg C
 
 // RunStreaming executes cfg.Strikes strikes of kern on dev, feeding every
 // outcome to the sinks in strike-index order, holding O(chunk + reducer
-// state) memory instead of a retained Result's O(SDC reports). Strikes
+// state) memory however many SDC reports the cell produces. Strikes
 // within a chunk fan out over the Config.Workers pool with per-index RNG
 // splits, so the outcome stream is bit-identical for any worker count.
 func RunStreaming(dev arch.Device, kern kernels.Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
@@ -216,11 +217,12 @@ func StreamMatrix(cells []Cell, cfg Config, sinks func(i int, c Cell) []Sink) ([
 
 // --- Online reducers ---
 //
-// Each reducer mirrors one Result method bit for bit: the golden and
-// property suites in golden_test.go / stream_test.go pin the equivalence.
+// Each reducer computes one statistic of the paper's evaluation online.
+// The golden and property suites (golden_test.go, stream_test.go) pin
+// each bit for bit against the frozen retained reference in
+// retained_test.go.
 
-// TallyReducer accumulates the outcome tally and its per-resource split —
-// the streaming counterpart of Result.Tally and Result.ResourceTally.
+// TallyReducer accumulates the outcome tally and its per-resource split.
 type TallyReducer struct {
 	Tally      injector.Tally
 	ByResource map[fault.Resource]injector.Tally
@@ -252,8 +254,8 @@ func (t *TallyReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // SDCCountReducer counts SDC executions that survive each of a set of
-// relative-error thresholds — the streaming counterpart of Result.SDCFIT
-// (a threshold <= 0 counts every SDC, as in the Result method).
+// relative-error thresholds (a threshold <= 0 counts every SDC): the SDC
+// FIT of §V.
 type SDCCountReducer struct {
 	Thresholds []float64
 	Counts     []int
@@ -277,13 +279,13 @@ func (r *SDCCountReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // FIT converts the k-th threshold's count to a failure rate under the
-// cell's exposure, exactly as Result.SDCFIT does.
+// cell's exposure.
 func (r *SDCCountReducer) FIT(k int, exp beam.Exposure) float64 {
 	return fit.FITFromCampaign(r.Counts[k], exp)
 }
 
 // LocalityReducer accumulates the spatial-pattern counts of critical SDCs
-// — the streaming counterpart of Result.LocalityBreakdown. It classifies
+// (Figures 3, 5 and 7). It classifies
 // each SDC's above-threshold mismatches in place, through a Classifier
 // whose buffer it owns and reuses, so a warmed reducer allocates nothing
 // per strike.
@@ -311,7 +313,7 @@ func (r *LocalityReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // Breakdown renders the accumulated counts as the FIT breakdown of
-// Figures 3, 5 and 7, identical to Result.LocalityBreakdown.
+// Figures 3, 5 and 7.
 func (r *LocalityReducer) Breakdown(exp beam.Exposure) fit.Breakdown {
 	bd := fit.Breakdown{}
 	for _, p := range metrics.Patterns {
@@ -322,8 +324,8 @@ func (r *LocalityReducer) Breakdown(exp beam.Exposure) fit.Breakdown {
 }
 
 // FilteredFractionReducer tracks the share of SDC executions fully cleared
-// by the relative-error filter — the streaming counterpart of
-// Result.FilteredFraction.
+// by the relative-error filter (§V: 50-75% for DGEMM on K40, ~95% for
+// HotSpot).
 type FilteredFractionReducer struct {
 	ThresholdPct float64
 	SDCs         int
@@ -346,8 +348,7 @@ func (r *FilteredFractionReducer) Consume(_ int, out injector.Outcome) {
 	}
 }
 
-// Fraction returns the cleared share (0 when no SDCs were seen), identical
-// to Result.FilteredFraction.
+// Fraction returns the cleared share (0 when no SDCs were seen).
 func (r *FilteredFractionReducer) Fraction() float64 {
 	if r.SDCs == 0 {
 		return 0
@@ -356,8 +357,8 @@ func (r *FilteredFractionReducer) Fraction() float64 {
 }
 
 // ScatterReducer keeps a bounded uniform sample of the scatter points of
-// Figures 2/4/6/8 via reservoir sampling (Vitter's Algorithm R) — the
-// streaming counterpart of Result.Scatter. With MaxPoints <= 0 or larger
+// Figures 2/4/6/8 via reservoir sampling (Vitter's Algorithm R). With
+// MaxPoints <= 0 or larger
 // than the SDC count it degenerates to the exact point list in strike
 // order; otherwise each SDC has equal probability of being retained while
 // memory stays O(MaxPoints).
@@ -406,14 +407,15 @@ func (r *ScatterReducer) Consume(_ int, out injector.Outcome) {
 }
 
 // Points returns the sampled points. When no eviction occurred (Seen() <=
-// MaxPoints, or MaxPoints <= 0) this is exactly Result.Scatter's output.
+// MaxPoints, or MaxPoints <= 0) this is every SDC's point in strike
+// order.
 func (r *ScatterReducer) Points() []ScatterPoint { return r.pts }
 
 // Seen returns the total number of SDC points offered to the reservoir.
 func (r *ScatterReducer) Seen() int { return r.seen }
 
-// ABFTReducer accumulates ABFT coverage classification online — the
-// streaming counterpart of abft.EvaluateCoverage over Result.Reports.
+// ABFTReducer accumulates ABFT coverage classification online: what
+// abft.EvaluateCoverage computes over a cell's SDC reports.
 type ABFTReducer struct {
 	Coverage abft.Coverage
 }
@@ -427,44 +429,6 @@ func (r *ABFTReducer) Consume(_ int, out injector.Outcome) {
 		return
 	}
 	r.Coverage.Add(out.Report)
-}
-
-// resultSink rebuilds the retained *Result from the outcome stream: the
-// stack that lets Run share one engine with RunStreaming.
-// The tally/per-resource accounting is delegated to a TallyReducer (one
-// merge loop, not two to drift apart); this sink only adds the report
-// retention that makes a Result a Result. Because the engine recycles
-// reports after the chunk's sinks consume them, retention means cloning:
-// the Result owns deep copies with lifetimes independent of the pool.
-type resultSink struct {
-	tally *TallyReducer
-	res   *Result
-}
-
-func newResultSink() *resultSink {
-	return &resultSink{tally: NewTallyReducer(), res: &Result{}}
-}
-
-// Consume implements Sink.
-func (s *resultSink) Consume(i int, out injector.Outcome) {
-	s.tally.Consume(i, out)
-	if out.Class == fault.SDC {
-		s.res.Reports = append(s.res.Reports, out.Report.Clone())
-		s.res.ReportResource = append(s.res.ReportResource, out.Resource)
-	}
-}
-
-// result stamps the cell identity onto the accumulated outcome.
-func (s *resultSink) result(info StreamInfo) *Result {
-	s.res.Tally = s.tally.Tally
-	s.res.ResourceTally = s.tally.ByResource
-	s.res.Device = info.Device
-	s.res.Kernel = info.Kernel
-	s.res.Input = info.Input
-	s.res.Profile = info.Profile
-	s.res.Strikes = info.Strikes
-	s.res.Exposure = info.Exposure
-	return s.res
 }
 
 // --- Checkpointed event streaming ---
@@ -484,14 +448,16 @@ type CheckpointSink struct {
 // NewCheckpointSink starts a checkpointed log for the cell described by
 // info, owned by the campaign with the given seed.
 func NewCheckpointSink(w io.Writer, info StreamInfo, seed uint64) (*CheckpointSink, error) {
-	sw, err := logdata.NewStreamWriter(w, checkpointMeta(info, seed))
+	sw, err := logdata.NewStreamWriter(w, LogHeader(info, seed))
 	if err != nil {
 		return nil, err
 	}
 	return &CheckpointSink{sw: sw}, nil
 }
 
-func checkpointMeta(info StreamInfo, seed uint64) *logdata.Log {
+// LogHeader is the campaign-log metadata of the cell described by info,
+// owned by the campaign with the given seed: what a log's header records.
+func LogHeader(info StreamInfo, seed uint64) *logdata.Log {
 	return &logdata.Log{
 		Device:     info.Device,
 		Kernel:     info.Kernel,

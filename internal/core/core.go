@@ -9,9 +9,12 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
+	"radcrit/internal/fault"
+	"radcrit/internal/injector"
 	"radcrit/internal/logdata"
 	"radcrit/internal/metrics"
 	"radcrit/internal/stats"
@@ -80,38 +83,73 @@ func summarize(xs []float64) Summary {
 // keeping aggregates finite without disturbing any realistic magnitude.
 const MaxRelErrPct = 1e15
 
-// Analyze applies the methodology to a set of per-execution reports.
-func Analyze(reports []*metrics.Report, opts Options) *Criticality {
+// Analyzer applies the methodology incrementally, one SDC report at a
+// time, so a streaming campaign feeds it directly as a sink and never
+// retains a report: it keeps only the two per-critical-SDC metric values
+// the order statistics need. Not safe for concurrent use.
+type Analyzer struct {
+	c           Criticality
+	cap         float64
+	counts, mre []float64
+}
+
+// NewAnalyzer returns an empty analyzer under opts.
+func NewAnalyzer(opts Options) *Analyzer {
 	cap := opts.CapPct
 	if cap <= 0 || cap > MaxRelErrPct {
 		cap = MaxRelErrPct
 	}
-	c := &Criticality{
-		Options:         opts,
-		TotalExecutions: len(reports),
-		Locality:        make(map[metrics.Pattern]int),
+	return &Analyzer{
+		c:   Criticality{Options: opts, Locality: make(map[metrics.Pattern]int)},
+		cap: cap,
 	}
-	var counts, mres []float64
-	for _, rep := range reports {
-		eff := rep
-		if opts.ThresholdPct > 0 {
-			eff = rep.Filter(opts.ThresholdPct)
-		}
-		if !eff.IsSDC() {
-			continue
-		}
-		c.CriticalSDCs++
-		counts = append(counts, float64(eff.Count()))
-		mres = append(mres, eff.MeanRelErrPct(cap))
-		c.Locality[eff.Locality()]++
+}
+
+// Add folds one SDC execution's report into the analysis. The report is
+// read during the call only.
+func (a *Analyzer) Add(rep *metrics.Report) {
+	a.c.TotalExecutions++
+	eff := rep
+	if a.c.Options.ThresholdPct > 0 {
+		eff = rep.Filter(a.c.Options.ThresholdPct)
 	}
+	if !eff.IsSDC() {
+		return
+	}
+	a.c.CriticalSDCs++
+	a.counts = append(a.counts, float64(eff.Count()))
+	a.mre = append(a.mre, eff.MeanRelErrPct(a.cap))
+	a.c.Locality[eff.Locality()]++
+}
+
+// Consume implements the campaign engine's sink contract: every SDC
+// outcome's report is added, other outcomes are ignored.
+func (a *Analyzer) Consume(_ int, out injector.Outcome) {
+	if out.Class == fault.SDC {
+		a.Add(out.Report)
+	}
+}
+
+// Criticality returns the profile of the reports added so far.
+func (a *Analyzer) Criticality() *Criticality {
+	c := a.c
+	c.Locality = maps.Clone(a.c.Locality)
 	if c.TotalExecutions > 0 {
 		c.FilteredFraction = 1 - float64(c.CriticalSDCs)/float64(c.TotalExecutions)
 	}
-	c.IncorrectElements = summarize(counts)
-	c.MeanRelErrPct = summarize(mres)
-	c.CountVsMRECorrelation = stats.Pearson(counts, mres)
-	return c
+	c.IncorrectElements = summarize(a.counts)
+	c.MeanRelErrPct = summarize(a.mre)
+	c.CountVsMRECorrelation = stats.Pearson(a.counts, a.mre)
+	return &c
+}
+
+// Analyze applies the methodology to a set of per-execution reports.
+func Analyze(reports []*metrics.Report, opts Options) *Criticality {
+	a := NewAnalyzer(opts)
+	for _, rep := range reports {
+		a.Add(rep)
+	}
+	return a.Criticality()
 }
 
 // AnalyzeLog applies the methodology to a parsed campaign log — the

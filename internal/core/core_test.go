@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"radcrit/internal/fault"
 	"radcrit/internal/grid"
+	"radcrit/internal/injector"
 	"radcrit/internal/logdata"
 	"radcrit/internal/metrics"
 )
@@ -151,5 +153,35 @@ func TestVerdict(t *testing.T) {
 	}
 	if !strings.Contains(v, "trade-off") {
 		t.Fatal("trade-off phrasing missing")
+	}
+}
+
+// TestAnalyzerSink pins the incremental analyzer as a campaign sink: fed
+// an outcome stream it analyses exactly the SDC reports (masked, crash
+// and hang outcomes are skipped), and a profile it returned is not
+// changed by reports added later.
+func TestAnalyzerSink(t *testing.T) {
+	dims := grid.Dims{X: 32, Y: 32, Z: 1}
+	reports := []*metrics.Report{
+		report(dims, mk(1, 1, 100.5, 100)),
+		report(dims, mk(2, 2, 200, 100)),
+		report(dims, mk(1, 5, 150, 100), mk(7, 5, 150, 100)),
+	}
+	a := NewAnalyzer(DefaultOptions())
+	a.Consume(0, injector.Outcome{Class: fault.Masked})
+	for i, rep := range reports {
+		a.Consume(2*i+1, injector.Outcome{Class: fault.SDC, Report: rep})
+		a.Consume(2*i+2, injector.Outcome{Class: fault.Crash})
+	}
+	got, want := a.Criticality(), Analyze(reports, DefaultOptions())
+	if got.String() != want.String() || got.FilteredFraction != want.FilteredFraction {
+		t.Fatalf("sink analysis differs from Analyze:\n%s\nvs\n%s", got, want)
+	}
+	a.Add(report(dims, mk(3, 3, 300, 100)))
+	if got.CriticalSDCs != 2 || got.Locality[metrics.Single] != 1 {
+		t.Fatalf("a later Add changed an earlier profile: %+v", got)
+	}
+	if a.Criticality().CriticalSDCs != 3 {
+		t.Fatal("the analyzer lost the later Add")
 	}
 }

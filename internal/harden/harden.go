@@ -3,9 +3,10 @@
 // resources whose corruption is likely to produce the observed critical
 // errors."
 //
-// Given a campaign result with per-resource attribution, Advise ranks the
-// struck resources by their contribution to critical (above-threshold)
-// SDCs and projects the FIT reduction of hardening each cumulatively —
+// An Advisor rides a streaming campaign as a sink, attributing each
+// critical SDC to its struck resource; its Advice ranks the struck
+// resources by their contribution to critical (above-threshold) SDCs and
+// projects the FIT reduction of hardening each cumulatively —
 // the information a designer needs to decide where duplication, ECC or
 // checking effort pays off.
 package harden
@@ -17,6 +18,7 @@ import (
 
 	"radcrit/internal/campaign"
 	"radcrit/internal/fault"
+	"radcrit/internal/injector"
 )
 
 // ResourceImpact is one resource's contribution to critical SDCs.
@@ -44,31 +46,46 @@ type Advice struct {
 	Rankings []ResourceImpact
 }
 
-// Advise analyses a campaign result under the given imprecision threshold.
-func Advise(res *campaign.Result, thresholdPct float64) Advice {
+// Advisor counts the critical (above-threshold) SDCs behind each struck
+// resource as a campaign sink: it runs on the streaming engine beside any
+// other reducer and retains no report. Not safe for concurrent use.
+type Advisor struct {
+	ThresholdPct float64
+	// Counts is the critical SDC count per struck resource.
+	Counts map[fault.Resource]int
+}
+
+// NewAdvisor returns an empty advisor under the given imprecision
+// threshold (<= 0 counts every SDC as critical).
+func NewAdvisor(thresholdPct float64) *Advisor {
+	return &Advisor{ThresholdPct: thresholdPct, Counts: make(map[fault.Resource]int)}
+}
+
+// Consume implements campaign.Sink.
+func (a *Advisor) Consume(_ int, out injector.Outcome) {
+	if out.Class != fault.SDC {
+		return
+	}
+	critical := out.Report.IsSDC()
+	if a.ThresholdPct > 0 {
+		critical = out.Report.SDCAbove(a.ThresholdPct)
+	}
+	if critical {
+		a.Counts[out.Resource]++
+	}
+}
+
+// Advice ranks the counted resources for the cell described by info.
+func (a *Advisor) Advice(info campaign.StreamInfo) Advice {
 	adv := Advice{
-		Device:       res.Device,
-		Kernel:       res.Kernel,
-		Input:        res.Input,
-		ThresholdPct: thresholdPct,
+		Device:       info.Device,
+		Kernel:       info.Kernel,
+		Input:        info.Input,
+		ThresholdPct: a.ThresholdPct,
 	}
-	counts := make(map[fault.Resource]int)
-	for i, rep := range res.Reports {
-		if i >= len(res.ReportResource) {
-			break
-		}
-		eff := rep
-		if thresholdPct > 0 {
-			eff = rep.Filter(thresholdPct)
-		}
-		if !eff.IsSDC() {
-			continue
-		}
-		counts[res.ReportResource[i]]++
-		adv.TotalCriticalSDCs++
-	}
-	for r, c := range counts {
+	for r, c := range a.Counts {
 		adv.Rankings = append(adv.Rankings, ResourceImpact{Resource: r, CriticalSDCs: c})
+		adv.TotalCriticalSDCs += c
 	}
 	sort.Slice(adv.Rankings, func(i, j int) bool {
 		if adv.Rankings[i].CriticalSDCs != adv.Rankings[j].CriticalSDCs {

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"radcrit/internal/arch"
-	"radcrit/internal/beam"
 	"radcrit/internal/fault"
 	"radcrit/internal/kernels"
 	"radcrit/internal/metrics"
@@ -67,12 +66,6 @@ func NewSession(dev arch.Device, kern kernels.Kernel) (*Session, error) {
 		return nil, err
 	}
 	return &Session{dev: dev, kern: kern, prof: prof, golden: kern.Golden(dev)}, nil
-}
-
-// newSessionUnchecked prepares a session without profile validation, for
-// the one-shot convenience paths that historically did not validate.
-func newSessionUnchecked(dev arch.Device, kern kernels.Kernel) *Session {
-	return &Session{dev: dev, kern: kern, prof: kern.Profile(dev), golden: kern.Golden(dev)}
 }
 
 // Device returns the session's device.
@@ -164,26 +157,6 @@ func (s *Session) ReleaseReport(rep *metrics.Report) {
 	s.reports.Put(rep)
 }
 
-// RunOne executes one strike against kern on dev and classifies it. For
-// strike loops, prepare a Session instead of paying the setup per call.
-func RunOne(dev arch.Device, kern kernels.Kernel, strike fault.Strike, rng *xrand.RNG) Outcome {
-	return newSessionUnchecked(dev, kern).RunOne(strike, rng)
-}
-
-// RunMany executes n strikes with independent sub-streams of rng, at
-// uniformly random execution moments and beam-distributed deposition
-// energies. It returns the outcomes in order.
-func RunMany(dev arch.Device, kern kernels.Kernel, n int, rng *xrand.RNG) []Outcome {
-	ses := newSessionUnchecked(dev, kern)
-	outs := make([]Outcome, n)
-	for i := range outs {
-		sub := rng.Split(uint64(i) + 1)
-		strike := fault.Strike{When: sub.Float64(), Energy: beam.StrikeEnergy(sub)}
-		outs[i] = ses.RunOne(strike, sub)
-	}
-	return outs
-}
-
 // Tally summarises outcome classes.
 type Tally struct {
 	Masked, SDC, Crash, Hang int
@@ -200,22 +173,4 @@ func (t Tally) SDCToDUERatio() float64 {
 		return 0
 	}
 	return float64(t.SDC) / float64(due)
-}
-
-// TallyOutcomes counts outcome classes.
-func TallyOutcomes(outs []Outcome) Tally {
-	var t Tally
-	for _, o := range outs {
-		switch o.Class {
-		case fault.Masked:
-			t.Masked++
-		case fault.SDC:
-			t.SDC++
-		case fault.Crash:
-			t.Crash++
-		case fault.Hang:
-			t.Hang++
-		}
-	}
-	return t
 }

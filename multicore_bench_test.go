@@ -1,6 +1,7 @@
 // BenchmarkCampaignMulticore is the honest multicore record behind
 // BENCH_campaign.json's "multicore" section: whole campaign cells
-// (campaign.Run, which caches nothing across runs) at worker counts
+// (campaign.RunStreaming into a TallyReducer; no result is cached across
+// runs) at worker counts
 // {1, 2, NumCPU}, for one cheap-strike kernel (DGEMM) and one
 // expensive-strike kernel (LavaMD). Results are bit-identical across
 // worker counts (DESIGN.md §5); only wall time may differ, so ns/op is
@@ -69,10 +70,10 @@ func BenchmarkCampaignMulticore(b *testing.B) {
 				// through the kernel instance, so a partial warm-up would
 				// charge the first sub-benchmark for construction the later
 				// ones inherit.
-				campaign.Run(c.dev, c.kern, cfg)
+				mustStream(b, c.dev, c.kern, cfg, campaign.NewTallyReducer())
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					campaign.Run(c.dev, c.kern, cfg)
+					mustStream(b, c.dev, c.kern, cfg, campaign.NewTallyReducer())
 				}
 			})
 		}

@@ -28,8 +28,11 @@
 // tool), and — eventually — a serving-layer request body. Devices and
 // kernels are addressed by registry name ("k40", "dgemm:1024",
 // "hotspot:1024x400"); third-party scenarios join via RegisterDevice /
-// RegisterKernel. The pre-plan constructors (K40, NewDGEMM, RunCampaign,
-// ...) remain as thin wrappers for programmatic use.
+// RegisterKernel.
+//
+// Analyses beyond the Summary are sinks on the same engine: RunPlanCell
+// feeds an Analyzer (§III), a HardeningAdvisor (§VI) or a campaign log
+// writer beside the summary reducers, and no report outlives its strike.
 package radcrit
 
 import (
@@ -62,8 +65,6 @@ type (
 	Kernel = kernels.Kernel
 	// Config controls a campaign's statistical weight.
 	Config = campaign.Config
-	// Result is one campaign cell's aggregated outcome.
-	Result = campaign.Result
 	// Report is one execution's output-mismatch report.
 	Report = metrics.Report
 	// Criticality is the aggregate criticality profile (the paper's §III
@@ -71,6 +72,9 @@ type (
 	Criticality = core.Criticality
 	// AnalysisOptions configure the threshold filter and display caps.
 	AnalysisOptions = core.Options
+	// Analyzer applies the criticality methodology incrementally; it is a
+	// Sink, so a campaign feeds it without retaining reports.
+	Analyzer = core.Analyzer
 	// Log is the CAROL-style public campaign log.
 	Log = logdata.Log
 	// Scale selects paper-scale or test-scale experiment sizing.
@@ -81,8 +85,8 @@ type (
 	// Consume call — the engine recycles them afterwards (DESIGN.md §8);
 	// Clone a report to retain it.
 	Sink = campaign.Sink
-	// StreamInfo is the cell metadata a streaming campaign yields in
-	// place of a retained Result.
+	// StreamInfo is the cell metadata a streaming campaign yields beside
+	// its sinks' state: identity, occupancy profile and beam exposure.
 	StreamInfo = campaign.StreamInfo
 	// TallyReducer accumulates the outcome tally online.
 	TallyReducer = campaign.TallyReducer
@@ -111,9 +115,11 @@ type (
 	PlanResult = campaign.PlanResult
 	// CellOutcome is one plan cell's execution record.
 	CellOutcome = campaign.CellOutcome
-	// Summary is a cell's statistics under the plan's thresholds,
-	// bit-identical to the same statistics of a retained Result.
+	// Summary is a cell's statistics under the plan's thresholds, folded
+	// from the engine's online reducers.
 	Summary = campaign.Summary
+	// Cell is a built plan cell: a device and a kernel instance.
+	Cell = campaign.Cell
 	// AdaptiveSpec configures sequential early stopping: stop a cell once
 	// the anytime-valid confidence interval for its SDC proportion is
 	// tighter than the target half-width (attach with Plan.WithAdaptive).
@@ -215,20 +221,18 @@ func KernelNames() []string { return registry.KernelNames() }
 // SplitKernelSpec splits "name:params" into its parts.
 func SplitKernelSpec(spec string) (name, params string) { return registry.SplitSpec(spec) }
 
-// RunCampaign simulates a beam campaign cell: cfg.Strikes strikes of kern
-// on dev, each resolved by the device architecture and propagated through
-// the kernel's real computation. The Result retains every SDC report;
-// plan cells that need them (logs, hardening advice, ABFT scans) run
-// through it one cell at a time. It panics on an invalid cell.
-func RunCampaign(dev Device, kern Kernel, cfg Config) *Result {
-	return campaign.Run(dev, kern, cfg)
+// RunPlanCell simulates a beam campaign cell (Plan.Build) through the
+// streaming engine and returns its info and Summary under thresholds; the
+// extra sinks see the same in-order outcome stream. With cfg.Adaptive set
+// the cell may stop early (Info.Strikes says where).
+func RunPlanCell(ctx context.Context, cell Cell, cfg Config, thresholds []float64, extra ...Sink) (StreamInfo, *Summary, error) {
+	return campaign.RunPlanCell(ctx, cell, cfg, thresholds, extra...)
 }
 
-// RunCampaignStreaming simulates the same campaign cell through the
-// streaming engine: every outcome is fed to the sinks in strike-index
-// order and then dropped, so memory stays O(chunk + reducer state) however
-// many strikes — or SDCs — the cell produces. The reducers reproduce the
-// retained Result's statistics bit for bit (DESIGN.md §6).
+// RunCampaignStreaming simulates a campaign cell through the streaming
+// engine: every outcome is fed to the sinks in strike-index order and then
+// dropped, so memory stays O(chunk + reducer state) however many strikes —
+// or SDCs — the cell produces (DESIGN.md §6).
 func RunCampaignStreaming(dev Device, kern Kernel, cfg Config, sinks ...Sink) (StreamInfo, error) {
 	return campaign.RunStreaming(dev, kern, cfg, sinks...)
 }
@@ -299,40 +303,44 @@ func AnalyzeLog(l *Log, opts AnalysisOptions) *Criticality {
 	return core.AnalyzeLog(l, opts)
 }
 
+// NewAnalyzer returns an empty incremental criticality analysis: feed it
+// to a campaign as a Sink, then read Criticality.
+func NewAnalyzer(opts AnalysisOptions) *Analyzer { return core.NewAnalyzer(opts) }
+
 // DefaultAnalysisOptions returns the paper's conservative configuration
 // (2% threshold, no display cap).
 func DefaultAnalysisOptions() AnalysisOptions { return core.DefaultOptions() }
 
-// WriteLog serialises a campaign result into the public log format.
-func WriteLog(w io.Writer, res *Result, seed uint64) error {
-	return logdata.Write(w, res.ToLog(seed))
-}
-
-// ParseLog reads a log written by WriteLog.
+// ParseLog reads a campaign log (a campaign log writer's, or beamsim -o).
 func ParseLog(r io.Reader) (*Log, error) { return logdata.Parse(r) }
 
-// RenderScatter renders a Figure-2/4/6/8 style plot of a campaign result.
-func RenderScatter(w io.Writer, res *Result, capPct float64) {
+// RenderScatter renders a Figure-2/4/6/8 style plot of the points a
+// ScatterReducer sampled from the cell described by info.
+func RenderScatter(w io.Writer, info StreamInfo, sc *ScatterReducer) {
 	s := campaign.ScatterSeries{
-		Device: res.Device,
-		Kernel: res.Kernel,
-		CapPct: capPct,
-		Series: []campaign.LabeledPoints{{Label: res.Input, Points: res.Scatter(capPct)}},
+		Device: info.Device,
+		Kernel: info.Kernel,
+		CapPct: sc.CapPct,
+		Series: []campaign.LabeledPoints{{Label: info.Input, Points: sc.Points()}},
 	}
 	report.Scatter(w, s, 64, 16)
 }
 
-// RenderLocality renders a Figure-3/5/7 style FIT-by-locality bar pair.
-func RenderLocality(w io.Writer, res *Result, thresholdPct float64) {
+// RenderLocality renders a Figure-3/5/7 style FIT-by-locality bar pair
+// from a cell's Summary: its first threshold is the unfiltered bar and its
+// last the filtered one, so a plan's thresholds {0, 2} draw the paper's
+// figure.
+func RenderLocality(w io.Writer, info StreamInfo, sum *Summary) {
+	last := len(sum.Thresholds) - 1
 	f := campaign.LocalityFigure{
-		Device:       res.Device,
-		Kernel:       res.Kernel,
-		ThresholdPct: thresholdPct,
+		Device:       info.Device,
+		Kernel:       info.Kernel,
+		ThresholdPct: sum.Thresholds[last],
 		Bars: []campaign.LocalityBar{{
-			Input:            res.Input,
-			All:              res.LocalityBreakdown(0),
-			Filtered:         res.LocalityBreakdown(thresholdPct),
-			FilterMeaningful: res.FilteredFraction(thresholdPct) > 0,
+			Input:            info.Input,
+			All:              sum.Locality[0],
+			Filtered:         sum.Locality[last],
+			FilterMeaningful: sum.FilteredFraction[last] > 0,
 		}},
 	}
 	report.LocalityBars(w, f, 60)
@@ -349,8 +357,18 @@ func Verdict(nameA string, a *Criticality, nameB string, b *Criticality) string 
 // whose corruption is likely to produce the observed critical errors").
 type HardeningAdvice = harden.Advice
 
-// AdviseHardening ranks the resources behind a campaign's critical SDCs
-// and projects the benefit of hardening each cumulatively.
-func AdviseHardening(res *Result, thresholdPct float64) HardeningAdvice {
-	return harden.Advise(res, thresholdPct)
+// HardeningAdvisor counts a campaign's critical SDCs per struck resource
+// as a Sink.
+type HardeningAdvisor = harden.Advisor
+
+// NewHardeningAdvisor returns an advisor under the given threshold.
+func NewHardeningAdvisor(thresholdPct float64) *HardeningAdvisor {
+	return harden.NewAdvisor(thresholdPct)
+}
+
+// AdviseHardening ranks the resources behind the critical SDCs an advisor
+// counted on the cell described by info, and projects the benefit of
+// hardening each cumulatively.
+func AdviseHardening(info StreamInfo, adv *HardeningAdvisor) HardeningAdvice {
+	return adv.Advice(info)
 }

@@ -12,8 +12,8 @@ import (
 
 // TestPlanFacadeEndToEnd drives the declarative surface exactly as a
 // third-party consumer would: build a plan fluently, serialise it, load
-// it back, run it, and check every summary against the retained
-// per-cell path.
+// it back, run it, and check every summary against a separate
+// per-cell streaming pass with its own reducers.
 func TestPlanFacadeEndToEnd(t *testing.T) {
 	plan := radcrit.NewPlan(42, 120).
 		Named("facade-e2e").
@@ -39,12 +39,17 @@ func TestPlanFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	for i, c := range built {
-		b, s := radcrit.RunCampaign(c.Dev, c.Kern, loaded.Config()), sres.Cells[i].Summary
+		s := sres.Cells[i].Summary
+		b, counts := radcrit.NewTallyReducer(), radcrit.NewSDCCountReducer(s.Thresholds...)
+		info, err := radcrit.RunCampaignStreaming(c.Dev, c.Kern, loaded.Config(), b, counts)
+		if err != nil {
+			t.Fatalf("cell %d: %v", i, err)
+		}
 		if b.Tally != s.Tally {
 			t.Errorf("cell %d: paths disagree on tally: %+v vs %+v", i, b.Tally, s.Tally)
 		}
-		for k, th := range s.Thresholds {
-			if b.SDCFIT(th) != s.SDCFIT[k] {
+		for k := range s.Thresholds {
+			if counts.FIT(k, info.Exposure) != s.SDCFIT[k] {
 				t.Errorf("cell %d threshold %d: paths disagree on SDC FIT", i, k)
 			}
 		}

@@ -2,17 +2,48 @@ package radcrit
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// runCell runs one cell through the facade's cell executor, its summary
+// under thresholds and the extra sinks fed the same outcome stream.
+func runCell(t *testing.T, dev Device, kern Kernel, cfg Config, thresholds []float64, extra ...Sink) (StreamInfo, *Summary) {
+	t.Helper()
+	info, sum, err := RunPlanCell(context.Background(), Cell{Dev: dev, Kern: kern}, cfg, thresholds, extra...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info, sum
+}
+
+// analyze runs one cell with a criticality Analyzer under opts as a sink.
+func analyze(t *testing.T, dev Device, kern Kernel, cfg Config, opts AnalysisOptions) *Criticality {
+	t.Helper()
+	a := NewAnalyzer(opts)
+	runCell(t, dev, kern, cfg, nil, a)
+	return a.Criticality()
+}
 
 // TestEndToEnd exercises the full public pipeline: device + kernel ->
 // campaign -> log round trip -> criticality analysis -> rendering.
 func TestEndToEnd(t *testing.T) {
 	dev := K40()
 	kern := NewDGEMM(128)
-	res := RunCampaign(dev, kern, CampaignConfig(1, 200))
+	cfg := CampaignConfig(1, 200)
+	var logBuf bytes.Buffer
+	logw, err := NewCampaignLogWriter(&logBuf, dev, kern, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crit := NewAnalyzer(DefaultAnalysisOptions())
+	scatter := NewScatterReducer(100, 0)
+	info, res := runCell(t, dev, kern, cfg, []float64{0, DefaultThresholdPct}, crit, scatter, logw)
+	if err := logw.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	if res.Tally.Count() != 200 {
 		t.Fatalf("strikes accounted: %d", res.Tally.Count())
@@ -22,11 +53,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Log round trip.
-	var sb strings.Builder
-	if err := WriteLog(&sb, res, 1); err != nil {
-		t.Fatal(err)
-	}
-	l, err := ParseLog(strings.NewReader(sb.String()))
+	l, err := ParseLog(bytes.NewReader(logBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +62,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Analysis paths agree.
-	direct := Analyze(res.Reports, DefaultAnalysisOptions())
+	direct := crit.Criticality()
 	fromLog := AnalyzeLog(l, DefaultAnalysisOptions())
 	if direct.CriticalSDCs != fromLog.CriticalSDCs {
 		t.Fatalf("analysis diverged: %d vs %d", direct.CriticalSDCs, fromLog.CriticalSDCs)
@@ -43,8 +70,8 @@ func TestEndToEnd(t *testing.T) {
 
 	// Renderers produce content.
 	var out strings.Builder
-	RenderScatter(&out, res, 100)
-	RenderLocality(&out, res, DefaultThresholdPct)
+	RenderScatter(&out, info, scatter)
+	RenderLocality(&out, info, res)
 	if !strings.Contains(out.String(), "K40 DGEMM") {
 		t.Fatal("renderers produced no figure content")
 	}
@@ -69,8 +96,8 @@ func TestCrossArchitectureHeadline(t *testing.T) {
 	opts := DefaultAnalysisOptions()
 	opts.CapPct = 100 // the paper's Fig. 2 display cap
 
-	k40Crit := Analyze(RunCampaign(K40(), kern, cfg).Reports, opts)
-	phiCrit := Analyze(RunCampaign(XeonPhi(), kern, cfg).Reports, opts)
+	k40Crit := analyze(t, K40(), kern, cfg, opts)
+	phiCrit := analyze(t, XeonPhi(), kern, cfg, opts)
 
 	// K40 clears far more runs through the 2% filter (paper: 50-75% vs
 	// essentially none on the Phi).
@@ -98,10 +125,8 @@ func TestLavaMDTradeoff(t *testing.T) {
 	// the paper's figure note.
 	opts := AnalysisOptions{ThresholdPct: 0, CapPct: 20000}
 
-	k40Res := RunCampaign(K40(), NewLavaMD(5), cfg)
-	phiRes := RunCampaign(XeonPhi(), NewLavaMD(5), cfg)
-	k40Crit := Analyze(k40Res.Reports, opts)
-	phiCrit := Analyze(phiRes.Reports, opts)
+	k40Crit := analyze(t, K40(), NewLavaMD(5), cfg, opts)
+	phiCrit := analyze(t, XeonPhi(), NewLavaMD(5), cfg, opts)
 	if k40Crit.CriticalSDCs == 0 || phiCrit.CriticalSDCs == 0 {
 		t.Fatal("no critical SDCs sampled")
 	}
@@ -116,8 +141,6 @@ func TestLavaMDTradeoff(t *testing.T) {
 		t.Fatalf("K40 median LavaMD MRE %.3f should exceed the Phi's %.3f",
 			k40Crit.MeanRelErrPct.Median, phiCrit.MeanRelErrPct.Median)
 	}
-	_ = k40Res
-	_ = phiRes
 }
 
 // TestHotSpotResilience reproduces §V-C: stencils are the most resilient
@@ -125,11 +148,11 @@ func TestLavaMDTradeoff(t *testing.T) {
 func TestHotSpotResilience(t *testing.T) {
 	kern := NewHotSpot(64, 80)
 	for _, dev := range Devices() {
-		res := RunCampaign(dev, kern, CampaignConfig(9, 300))
+		_, res := runCell(t, dev, kern, CampaignConfig(9, 300), []float64{2})
 		if res.Tally.SDC == 0 {
 			t.Fatalf("%s: no SDCs", dev.ShortName())
 		}
-		frac := res.FilteredFraction(2)
+		frac := res.FilteredFraction[0]
 		if frac < 0.6 {
 			t.Fatalf("%s: only %.0f%%%% of HotSpot SDCs filtered; paper reports 80-95%%",
 				dev.ShortName(), 100*frac)
@@ -141,14 +164,15 @@ func TestHotSpotResilience(t *testing.T) {
 // mostly square, and essentially none fall under the 2% filter.
 func TestCLAMRCriticality(t *testing.T) {
 	kern := NewCLAMR(48, 60)
-	res := RunCampaign(XeonPhi(), kern, CampaignConfig(11, 300))
+	a := NewAnalyzer(DefaultAnalysisOptions())
+	_, res := runCell(t, XeonPhi(), kern, CampaignConfig(11, 300), []float64{2}, a)
 	if res.Tally.SDC == 0 {
 		t.Fatal("no SDCs")
 	}
-	if frac := res.FilteredFraction(2); frac > 0.35 {
+	if frac := res.FilteredFraction[0]; frac > 0.35 {
 		t.Fatalf("%.0f%% of CLAMR SDCs filtered; the paper found none", 100*frac)
 	}
-	crit := Analyze(res.Reports, DefaultAnalysisOptions())
+	crit := a.Criticality()
 	if crit.LocalityShare(0) != 0 { // metrics.NoPattern guard
 		t.Fatal("critical SDC with no pattern")
 	}
@@ -159,15 +183,15 @@ func TestCLAMRCriticality(t *testing.T) {
 }
 
 // TestStreamingFacade exercises the public streaming pipeline: reducers
-// fed by RunCampaignStreaming reproduce the batch result, a checkpointed
-// log written alongside is parseable, and a truncated copy recovers into
-// the identical log.
+// fed by RunCampaignStreaming reproduce RunPlanCell's summary, a
+// checkpointed log written alongside is parseable, and a truncated copy
+// recovers into the identical log.
 func TestStreamingFacade(t *testing.T) {
 	dev := K40()
 	kern := NewDGEMM(128)
 	cfg := CampaignConfig(3, 120)
 	cfg.StreamChunk = 32
-	batch := RunCampaign(dev, kern, cfg)
+	_, batch := runCell(t, dev, kern, cfg, []float64{0})
 
 	var logBuf bytes.Buffer
 	ckpt, err := NewCampaignLogWriter(&logBuf, dev, kern, cfg)
@@ -186,7 +210,7 @@ func TestStreamingFacade(t *testing.T) {
 	if tally.Tally != batch.Tally {
 		t.Fatalf("streaming tally %+v != batch %+v", tally.Tally, batch.Tally)
 	}
-	if got, want := counts.FIT(0, info.Exposure), batch.SDCFIT(0); got != want {
+	if got, want := counts.FIT(0, info.Exposure), batch.SDCFIT[0]; got != want {
 		t.Fatalf("streaming SDC FIT %v != batch %v", got, want)
 	}
 	full, err := ParseLog(bytes.NewReader(logBuf.Bytes()))
