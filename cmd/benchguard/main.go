@@ -328,7 +328,7 @@ func parseBenchOutput(r io.Reader) (map[string]benchResult, error) {
 			case "allocs/op":
 				res.AllocsOp = v
 				res.HasAllocs = true
-			case "B/op", "MB/s":
+			case "B/op", "MB/s": // the testing package's own; any other unit is a b.ReportMetric
 			default:
 				if res.Metrics == nil {
 					res.Metrics = map[string]string{}

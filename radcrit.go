@@ -329,7 +329,7 @@ func RenderScatter(w io.Writer, info StreamInfo, sc *ScatterReducer) {
 // RenderLocality renders a Figure-3/5/7 style FIT-by-locality bar pair
 // from a cell's Summary: its first threshold is the unfiltered bar and its
 // last the filtered one, so a plan's thresholds {0, 2} draw the paper's
-// figure.
+// figure. sum must carry at least one threshold.
 func RenderLocality(w io.Writer, info StreamInfo, sum *Summary) {
 	last := len(sum.Thresholds) - 1
 	f := campaign.LocalityFigure{
